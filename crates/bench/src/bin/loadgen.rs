@@ -8,8 +8,9 @@
 //! predict latency is the synchronous snapshot round trip, delete
 //! latency spans admission to batch commit (so it includes the
 //! coalescing window, and with the WAL enabled the pre-commit group
-//! fsync, by design) — and summarised as p50/p99 into a `BENCH_10.json`
-//! next to the other BENCH records. Durable cells also report the WAL's
+//! fsync, by design) — and summarised as p50/p99 into the JSON file named
+//! by the required `--out` (the committed record is `BENCH_10.json`; the
+//! path is never defaulted, so a run cannot overwrite it by accident). Durable cells also report the WAL's
 //! cumulative durability counters (fsyncs, frames, bytes, group sizes,
 //! checkpoints) and finish with a restart-and-recover cycle on the same
 //! store — timed separately as `recovery_seconds`, outside the measured
@@ -26,7 +27,7 @@
 //!
 //! ```text
 //! loadgen [--sessions 1,4,16] [--seconds 0.5] [--coalesce both|on|off]
-//!         [--durability both|on|off] [--out BENCH_10.json] [--date YYYY-MM-DD]
+//!         [--durability both|on|off] --out PATH [--date YYYY-MM-DD]
 //! ```
 
 use std::collections::HashMap;
@@ -72,9 +73,10 @@ fn parse_args() -> Result<Cli, String> {
         seconds: 0.5,
         modes: vec![true, false],
         durability: vec![false, true],
-        out: "BENCH_10.json".to_string(),
+        out: String::new(),
         date: None,
     };
+    let mut out = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -117,19 +119,20 @@ fn parse_args() -> Result<Cli, String> {
                     other => return Err(format!("--durability both|on|off, got {other:?}")),
                 };
             }
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
+            "--out" => out = Some(args.next().ok_or("--out needs a path")?),
             "--date" => cli.date = Some(args.next().ok_or("--date needs a value")?),
             "--help" | "-h" => {
                 eprintln!(
                     "loadgen [--sessions 1,4,16] [--seconds 0.5] \
                      [--coalesce both|on|off] [--durability both|on|off] \
-                     [--out BENCH_10.json] [--date YYYY-MM-DD]"
+                     --out PATH [--date YYYY-MM-DD]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    cli.out = out.ok_or("--out PATH is required")?;
     Ok(cli)
 }
 
@@ -797,8 +800,8 @@ fn main() -> ExitCode {
              fsync per batch before acknowledgement — the delete p50/p99 delta against \
              the matching wal=off row is the price of the durability guarantee. \
              Coalescing amortises it across every request folded into the batch; \
-             with coalescing off, group commit amortises it instead by sharing one \
-             fsync across the chained backlog (see the per-cell durability counters). \
+             with coalescing off, the applier amortises it instead by sharing one \
+             fsync across every batch of a round (see the per-cell durability counters). \
              Decision histograms come from the online cost model (BaseL entries are \
              the forced drift retrains).",
         );
@@ -806,7 +809,7 @@ fn main() -> ExitCode {
     commands.push(
         "loadgen",
         "cargo run --release -p priu-bench --bin loadgen -- --sessions 1,4,16 --seconds 0.5 \
-         --durability both",
+         --durability both --out BENCH_10.json",
     );
     let mut wire_json = JsonValue::object();
     wire_json

@@ -22,11 +22,6 @@
 //!   chained deltas (the paper's Figure 4 scenario, generalised to sliding
 //!   windows) as a first-class API. The deletion-only `update`/`apply`
 //!   signatures remain as thin wrappers over a removal-only delta.
-//!
-//! The four pre-existing session types (`LinearSession`,
-//! `BinaryLogisticSession`, `MultinomialSession`, `SparseLogisticSession`)
-//! remain available as deprecated aliases of the engine types for one
-//! release; see [`crate::session`].
 
 mod linear;
 mod logistic;

@@ -39,6 +39,19 @@ pub enum ServerError {
     /// found unusable persisted state). Raised before acknowledgement, so
     /// a caller seeing this knows the change was *not* made durable.
     Durability(String),
+    /// Recovery could not redo a WAL record. Every logged record was
+    /// applied live before it was written, so a record that does not
+    /// redo means the log (or the snapshot it is redone onto) is corrupt;
+    /// the server refuses to start rather than skip an acknowledged
+    /// change.
+    Redo {
+        /// The session the record targets.
+        session: String,
+        /// The record's log sequence number.
+        lsn: u64,
+        /// Why the redo failed.
+        reason: String,
+    },
     /// A wire-protocol frame could not be decoded.
     Protocol(ProtocolError),
 }
@@ -63,6 +76,14 @@ impl fmt::Display for ServerError {
             }
             ServerError::ShuttingDown => f.write_str("the server is shutting down"),
             ServerError::Durability(message) => write!(f, "durability error: {message}"),
+            ServerError::Redo {
+                session,
+                lsn,
+                reason,
+            } => write!(
+                f,
+                "WAL record {lsn} of session {session:?} does not redo: {reason}"
+            ),
             ServerError::Protocol(err) => write!(f, "protocol error: {err}"),
         }
     }

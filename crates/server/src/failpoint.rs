@@ -23,17 +23,16 @@
 //!
 //! | name | crashes |
 //! |---|---|
-//! | `wal-after-append`      | after the WAL frame hits the file, before fsync |
-//! | `wal-before-fsync`      | immediately before the WAL fsync |
-//! | `wal-after-fsync`       | after the WAL fsync, before the engine applies |
-//! | `apply-before-commit`   | after the engine applied, before the registry commit |
-//! | `before-ack`            | after commit, before any ticket resolves |
+//! | `apply-before-commit`   | after a batch's engine apply succeeded, before its WAL frame is appended |
+//! | `wal-after-append`      | after the WAL frame hits the file, before the round's fsync |
+//! | `wal-before-fsync`      | immediately before the round's WAL fsync |
+//! | `wal-after-fsync`       | after the round's WAL fsync, before anything publishes |
+//! | `snapshot-handoff`      | after the round published, before a snapshot job reaches the snapshot thread |
+//! | `before-ack`            | after the round published, before a session's tickets resolve |
 //! | `snapshot-mid-write`    | half-way through writing the snapshot temp file |
 //! | `snapshot-before-rename`| temp file complete + fsync'd, not yet renamed |
 //! | `snapshot-after-rename` | after the atomic rename, before the dir fsync |
 //! | `recovery-mid-redo`     | between two WAL records during recovery redo |
-//! | `group-leader-sync`     | as the elected group-commit leader, before its shared fsync |
-//! | `snapshot-handoff`      | after commit, before the snapshot job reaches the snapshot thread |
 //! | `checkpoint-mid-rewrite`| half-way through writing the checkpoint's rewritten log |
 //! | `checkpoint-before-rename` | rewritten log complete + fsync'd, not yet renamed |
 //! | `checkpoint-after-rename`  | after the checkpoint rename, before the dir fsync |

@@ -6,9 +6,9 @@
 //!
 //! The pieces, each in its own module:
 //!
-//! * [`registry`] — named sessions with shared/exclusive access: predicts
-//!   run on immutable snapshots (shared), deletion batches hold a
-//!   per-session exclusive gate and commit by pointer swap, so a long
+//! * [`registry`] — named sessions, each publishing one immutable state:
+//!   predicts run on the current snapshot lock-free, the applier computes
+//!   successors off the lock and publishes them by one install, so a long
 //!   downdate never blocks a predict.
 //! * [`planner`] — admission + coalescing: N single-row deletion requests
 //!   fold into one batched downdate per session, gated by a time window
@@ -23,11 +23,13 @@
 //! * [`protocol`] — a length-prefixed wire format over any `Read`/`Write`
 //!   transport, with a dedicated reader thread feeding a message queue
 //!   per connection.
-//! * [`server`] — wires the above to one applier thread; concurrent
-//!   session batches fan out over the shared `priu-linalg` worker pool.
+//! * [`server`] — wires the above to one applier thread that commits in
+//!   rounds: every ready batch is computed against the actual state
+//!   (sessions fan out over the shared `priu-linalg` worker pool), one
+//!   fsync covers the round, then it publishes and acknowledges.
 //! * [`wal`] / [`snapshot`] / [`recovery`] — the durability layer: an
-//!   append-only CRC-checksummed WAL with *group commit* (concurrent
-//!   batches share one fsync; every ack still waits for it), atomic
+//!   append-only CRC-checksummed WAL (one fsync per applier round, shared
+//!   by every batch of every session in it; every ack waits for it), atomic
 //!   per-session snapshots cut on a dedicated background thread via
 //!   copy-on-write handoff of the committed session `Arc`, periodic WAL
 //!   checkpoints that rewrite the log down to the suffix not yet covered
@@ -66,6 +68,6 @@ pub use server::{
 };
 pub use snapshot::{SkippedSnapshot, SNAPSHOT_MAGIC};
 pub use wal::{
-    crc32, scan_wal, CheckpointRecord, GroupCommitConfig, GroupWal, Wal, WalRecord, WalScan,
-    WalStats, WalTail, MAX_WAL_FRAME_BYTES,
+    crc32, scan_wal, CheckpointRecord, GroupWal, Wal, WalRecord, WalScan, WalStats, WalTail,
+    MAX_WAL_FRAME_BYTES,
 };

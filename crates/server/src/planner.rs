@@ -261,9 +261,9 @@ impl PlannerState {
     /// forms one batch); the remainder stays queued — and stays ready, so
     /// the applier picks it up on its next pass. With coalescing off, the
     /// whole queue drains as *individual* single-request batches in FIFO
-    /// order — the applier chains them (resolving each against the
-    /// previous batch's predicted outcome) so an uncoalesced backlog can
-    /// share one group fsync without folding the deltas together.
+    /// order — the applier runs them in one round (each resolved against
+    /// the state the previous one left) so an uncoalesced backlog shares
+    /// one fsync without folding the deltas together.
     pub fn take_ready(&mut self, now: Instant, cfg: &PlannerConfig) -> Vec<ReadyBatch> {
         let mut names: Vec<&String> = self
             .queues
@@ -297,8 +297,8 @@ impl PlannerState {
 
             if !cfg.coalesce {
                 // Drain the whole backlog as individual batches, FIFO:
-                // same-session batches stay adjacent in the output so the
-                // applier can chain them under one group fsync.
+                // same-session batches stay adjacent in the output and
+                // share the round's one fsync.
                 for request in queue.pending.drain(..) {
                     let union: Vec<u64> = request
                         .ids

@@ -151,8 +151,8 @@ pub struct RecoverySessionStatus {
     pub session: String,
     /// WAL records redone onto the loaded snapshot.
     pub redone: u64,
-    /// WAL records skipped (their apply failed live too, or their ids did
-    /// not resolve).
+    /// WAL records skipped. Always 0: a record that does not redo fails
+    /// recovery instead (the field keeps the wire format stable).
     pub skipped: u64,
     /// The epoch the session recovered to.
     pub final_epoch: u64,
@@ -244,8 +244,8 @@ pub enum Response {
     DurabilityStats {
         /// Whether the server has a durability layer at all.
         durable: bool,
-        /// Total `fsync` calls the WAL issued (group commit shares one
-        /// fsync across many frames, so this lags `wal_frames`).
+        /// Total `fsync` calls the WAL issued (one per applier round,
+        /// shared by every frame of the round, so this lags `wal_frames`).
         fsyncs: u64,
         /// WAL frames appended (one per resolved non-noop batch).
         wal_frames: u64,

@@ -4,45 +4,40 @@
 //!
 //! 1. Open the WAL, which scans the valid frame prefix and truncates any
 //!    torn tail (a torn tail is by construction unacknowledged — the ack
-//!    only goes out after the fsync).
+//!    only goes out after the fsync). A frame that passes its checksum
+//!    but does not decode refuses the open instead, leaving the file
+//!    untouched.
 //! 2. For every session with a snapshot file, load the newest epoch that
 //!    passes magic + CRC + decode, falling back to the previous epoch and
 //!    reporting what was skipped.
 //! 3. Redo the session's WAL records with `lsn >= covered_lsn`, in LSN
-//!    order, through the **same** [`apply_delta`] path the live server
-//!    uses, under the same `PRIU_THREADS` × `PRIU_SIMD` pin — which is
-//!    what makes the recovered model bitwise identical to the pre-crash
-//!    one.
+//!    order, through the **same** [`apply_delta`] call and the same
+//!    [`SlotState::advance`] the live applier uses, under the same
+//!    `PRIU_THREADS` × `PRIU_SIMD` pin — which is what makes the
+//!    recovered model bitwise identical to the pre-crash one.
 //!
 //! Redo never re-derives anything timing-dependent: the record carries
 //! the *resolved* removal set (stable ids, retention expiry folded in)
 //! and the method the cost model chose. Translation back to row indices
-//! is a binary search against the recovered id map; commits replicate the
-//! registry's id/epoch/drift arithmetic exactly.
+//! is a binary search against the recovered id map.
 //!
-//! A record whose apply fails is *skipped, deterministically*: the live
-//! server writes the WAL frame before running the engine, so a batch that
-//! failed its apply (and answered an error) leaves a record whose redo
-//! fails the same way — the skip converges to the live outcome instead of
-//! diverging from it.
-//!
-//! Group commit appends *chains* of speculatively-resolved records before
-//! any of them applies; each record carries the LSN of its predecessor in
-//! the chain (`prev_lsn`). Live, an apply failure fails every later batch
-//! of its chain without applying them — so redo skips transitively: a
-//! record whose `prev_lsn` points at a skipped record is itself skipped,
-//! exactly as the live chain abandoned it.
+//! The live server logs a batch only after its apply succeeded against
+//! the actual state its predecessor left, so every logged record redoes.
+//! A record that does not — an id missing from the recovered id map, or
+//! an engine failure — means the log is corrupt, and recovery fails with
+//! a typed [`ServerError::Redo`] naming the record's LSN instead of
+//! skipping an acknowledged change.
 //!
 //! [`apply_delta`]: priu_core::DeletionEngine::apply_delta
 
 use std::path::Path;
 use std::sync::Arc;
 
-use priu_core::{DeletionEngine, Delta, DeltaRows};
+use priu_core::{DeletionEngine, Delta, DeltaRows, Method};
 
-use crate::error::Result;
+use crate::error::{Result, ServerError};
 use crate::failpoint::fail_point;
-use crate::registry::DurableState;
+use crate::registry::SlotState;
 use crate::server::{dense_added, run_pinned, ServerConfig};
 use crate::snapshot::{ensure_store_dirs, list_sessions, load_latest, SkippedSnapshot};
 use crate::wal::{Wal, WalRecord};
@@ -61,9 +56,10 @@ pub struct SessionRecovery {
     pub covered_lsn: u64,
     /// WAL records successfully redone.
     pub redone: u64,
-    /// Records skipped because their apply failed (deterministically —
-    /// the live batch failed the same way) or their ids did not resolve;
-    /// `(lsn, reason)`.
+    /// Records skipped, `(lsn, reason)`. Always empty: every logged
+    /// record redoes, and one that does not fails recovery with
+    /// [`ServerError::Redo`]. Kept because the wire protocol's
+    /// `RecoveryStatus` reports its length.
     pub skipped: Vec<(u64, String)>,
     /// The epoch the session recovered to.
     pub final_epoch: u64,
@@ -94,7 +90,7 @@ pub struct RecoveryReport {
 /// the opened WAL (positioned after the valid prefix), and the report.
 #[derive(Debug)]
 pub(crate) struct Recovered {
-    pub sessions: Vec<(String, DurableState)>,
+    pub sessions: Vec<(String, SlotState)>,
     pub wal: Wal,
     pub report: RecoveryReport,
 }
@@ -104,8 +100,10 @@ pub(crate) struct Recovered {
 /// recovers to an empty server (first boot).
 ///
 /// # Errors
-/// [`crate::error::ServerError::Durability`] on genuine I/O failure;
-/// corruption is skipped and reported, never an error and never a panic.
+/// [`ServerError::Durability`] on genuine I/O failure or a WAL frame that
+/// passes its checksum but does not decode; [`ServerError::Redo`] when a
+/// logged record does not redo. Torn tails and corrupt snapshot files are
+/// skipped and reported, never an error and never a panic.
 pub(crate) fn recover(cfg: &ServerConfig, dir: &Path) -> Result<Recovered> {
     ensure_store_dirs(dir)?;
     let (wal, scan) = Wal::open(&dir.join(WAL_FILE))?;
@@ -133,7 +131,6 @@ pub(crate) fn recover(cfg: &ServerConfig, dir: &Path) -> Result<Recovered> {
             skipped: Vec::new(),
             final_epoch: state.epoch,
         };
-        let mut failed = std::collections::BTreeSet::new();
         for (ix, record) in scan.records.iter().enumerate() {
             if record.session != name {
                 continue;
@@ -143,23 +140,12 @@ pub(crate) fn recover(cfg: &ServerConfig, dir: &Path) -> Result<Recovered> {
                 continue; // already folded into the snapshot
             }
             fail_point("recovery-mid-redo");
-            // A chained record downstream of a skipped one was never
-            // applied live — skip it without attempting the redo (its
-            // removal set was resolved against state that never existed).
-            if let Some(prev) = record.prev_lsn.filter(|p| failed.contains(p)) {
-                failed.insert(record.lsn);
-                outcome
-                    .skipped
-                    .push((record.lsn, format!("chained onto skipped record {prev}")));
-                continue;
-            }
-            match redo_record(cfg, &mut state, record) {
-                Ok(()) => outcome.redone += 1,
-                Err(reason) => {
-                    failed.insert(record.lsn);
-                    outcome.skipped.push((record.lsn, reason));
-                }
-            }
+            redo_record(cfg, &mut state, record).map_err(|reason| ServerError::Redo {
+                session: name.clone(),
+                lsn: record.lsn,
+                reason,
+            })?;
+            outcome.redone += 1;
         }
         outcome.final_epoch = state.epoch;
         report.sessions.push(outcome);
@@ -175,12 +161,12 @@ pub(crate) fn recover(cfg: &ServerConfig, dir: &Path) -> Result<Recovered> {
     })
 }
 
-/// Redoes one WAL record onto a recovered slot state, replicating the
-/// live commit arithmetic (survivor ids, fresh ids from `next_id`, epoch
-/// bump, drift counter). `Err` skips the record without mutating state.
+/// Redoes one WAL record onto a recovered state: translates its stable
+/// ids, runs the recorded method's `apply_delta`, and advances the state
+/// exactly as the live commit did. `Err` leaves the state untouched.
 fn redo_record(
     cfg: &ServerConfig,
-    state: &mut DurableState,
+    state: &mut SlotState,
     record: &WalRecord,
 ) -> std::result::Result<(), String> {
     // The record stores the resolved removal set — every id was present
@@ -188,13 +174,16 @@ fn redo_record(
     // ids are ascending (resolved from ascending indices), hence the
     // translated indices are ascending and duplicate-free as `Delta`
     // requires.
-    let mut rows = Vec::with_capacity(record.removed_ids.len());
-    for &id in &record.removed_ids {
-        match state.ids.binary_search(&id) {
-            Ok(ix) => rows.push(ix),
-            Err(_) => return Err(format!("stable id {id} not in the recovered id map")),
-        }
-    }
+    let rows = record
+        .removed_ids
+        .iter()
+        .map(|id| {
+            state
+                .ids
+                .binary_search(id)
+                .map_err(|_| format!("stable id {id} is not in the recovered id map"))
+        })
+        .collect::<std::result::Result<Vec<usize>, String>>()?;
     let added = record.added.as_ref().map(|(width, features, labels)| {
         dense_added(
             state.session.task(),
@@ -205,32 +194,16 @@ fn redo_record(
     });
     let num_added = added.as_ref().map_or(0, |d| d.num_samples());
     let delta = Delta {
-        removed: rows.clone(),
+        removed: rows,
         added: added.map(DeltaRows::Dense),
     };
     let chained = run_pinned(cfg, || state.session.apply_delta(record.method, &delta))
-        .map_err(|e| format!("apply failed (as it did live): {e}"))?;
-
-    let mut survivors = Vec::with_capacity(state.ids.len() - rows.len());
-    let mut next_removed = 0;
-    for (ix, &id) in state.ids.iter().enumerate() {
-        if next_removed < rows.len() && rows[next_removed] == ix {
-            next_removed += 1;
-        } else {
-            survivors.push(id);
-        }
-    }
-    for _ in 0..num_added {
-        survivors.push(state.next_id);
-        state.next_id += 1;
-    }
-    state.session = Arc::new(chained.session);
-    state.ids = survivors;
-    state.epoch += 1;
-    if record.method == priu_core::Method::Retrain {
-        state.removed_since_refit = 0;
-    } else {
-        state.removed_since_refit += rows.len();
-    }
+        .map_err(|e| format!("{:?} apply failed: {e}", record.method))?;
+    state.advance(
+        Arc::new(chained.session),
+        &delta.removed,
+        num_added,
+        record.method == Method::Retrain,
+    );
     Ok(())
 }

@@ -1,33 +1,25 @@
-//! The session registry: named tenant × model sessions with per-session
-//! shared/exclusive access.
+//! The session registry: named tenant × model sessions, each holding one
+//! immutable published state.
 //!
-//! # Locking model
+//! # Publication model
 //!
-//! Each [`SessionSlot`] separates the *shared* path (predictions) from the
-//! *exclusive* path (deletion batches) the way a lock table grants
-//! shared/exclusive locks — but the shared grant is made O(1) by
-//! snapshotting:
+//! Each [`SessionSlot`] holds its current [`SlotState`] behind a
+//! read/write lock:
 //!
-//! * **Predictions** take the slot's state lock in *read* mode only long
-//!   enough to clone the `Arc<Session>` pointer and the epoch, then compute
-//!   on that immutable snapshot lock-free. An in-flight deletion batch
-//!   therefore never blocks a prediction, no matter how long its downdate
-//!   runs.
-//! * **Deletion batches** hold the slot's `apply_gate` (the exclusive
-//!   grant — one batch per session at a time), run the expensive
-//!   [`DeletionEngine::apply`] on the snapshot *outside* the state lock,
-//!   and commit by swapping the `Arc` under a brief state *write* lock.
+//! * **Predictions** take the lock in *read* mode only long enough to
+//!   clone the `Arc<Session>` pointer and the epoch, then compute on that
+//!   immutable snapshot lock-free. An in-flight batch therefore never
+//!   blocks a prediction, no matter how long its downdate runs.
+//! * **Batches** are computed by the server's applier thread — the only
+//!   committer — on a private copy of the state taken with
+//!   [`SessionSlot::state`], advanced with [`SlotState::advance`] off the
+//!   lock, and published with [`SessionSlot::commit`], which installs the
+//!   finished state under a brief *write* lock.
 //!
-//! A predict observes either the pre-batch or the post-batch session —
-//! never a torn intermediate — because the only mutation is an atomic
-//! pointer swap under the write lock.
-//!
-//! **Lock order** (deadlock freedom): registry map lock ≺ slot
-//! `apply_gate` ≺ slot state lock. The map lock is never held while
-//! acquiring a slot lock — callers clone the `Arc<SessionSlot>` out of the
-//! map first.
-//!
-//! [`DeletionEngine::apply`]: priu_core::DeletionEngine::apply
+//! A predict observes either the pre-commit or the post-commit state —
+//! never a torn intermediate — because the only mutation is that
+//! install. The registry map lock is never held while taking a slot lock:
+//! callers clone the `Arc<SessionSlot>` out of the map first.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -36,111 +28,105 @@ use priu_core::{DeletionEngine, Session};
 
 use crate::error::{Result, ServerError};
 
-/// The per-slot state behind the read/write lock: the current session
-/// snapshot plus the bookkeeping the planner and scheduler introspect.
-#[derive(Debug)]
-struct SlotState {
-    /// The current session; replaced wholesale on batch commit.
-    session: Arc<Session>,
+/// One session's full state: the current immutable session plus the
+/// bookkeeping a committed batch advances. The same value is what the
+/// applier computes on, what a slot publishes, what a snapshot persists
+/// and what recovery redoes onto.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotState {
+    /// The current session; replaced wholesale on every commit.
+    pub session: Arc<Session>,
     /// Stable row id of each current row, ascending (registration assigns
     /// `0..n`; survivors keep their ids across batches; appended rows get
     /// fresh ids from `next_id`). Requests address rows by stable id, so
-    /// ids stay valid while current indices shift under coalesced
-    /// deletions.
-    ids: Vec<u64>,
+    /// ids stay valid while current indices shift under deletions.
+    pub ids: Vec<u64>,
     /// The next stable id to assign. Strictly monotonic: every id ever
     /// handed out is `< next_id`, so a retired id is never reallocated —
     /// a delete request that races a sliding window can therefore never
     /// remove a *different* row than the one it named.
-    next_id: u64,
+    pub next_id: u64,
     /// Bumped once per committed batch; predictions report the epoch of
     /// the snapshot they used.
-    epoch: u64,
+    pub epoch: u64,
     /// Sample count at registration — the denominator of the drift ratio.
-    initial_samples: usize,
+    pub initial_samples: usize,
     /// Rows removed by incremental methods since the last full retrain
     /// (reset when a batch commits with `Method::Retrain`).
-    removed_since_refit: usize,
-}
-
-/// A registered session: the unit the registry hands out. See the module
-/// docs for the shared/exclusive locking model.
-#[derive(Debug)]
-pub struct SessionSlot {
-    state: RwLock<SlotState>,
-    /// The exclusive grant: serialises deletion batches on this session.
-    apply_gate: Mutex<()>,
-}
-
-/// Everything a batch applier needs from a slot, read under one shared
-/// lock acquisition: the immutable session snapshot, the stable-id map,
-/// and the drift bookkeeping.
-#[derive(Debug, Clone)]
-pub(crate) struct ApplyView {
-    /// The session snapshot the batch will be computed on.
-    pub session: Arc<Session>,
-    /// Stable ids of the snapshot's rows (ascending).
-    pub ids: Vec<u64>,
-    /// The monotonic fresh-id counter — what the next committed append
-    /// will assign from. Chained (speculative) resolution needs it to
-    /// predict the ids a not-yet-committed batch will hand out.
-    pub next_id: u64,
-    /// Epoch of the snapshot.
-    pub epoch: u64,
-    /// Registration-time sample count.
-    pub initial_samples: usize,
-    /// Incrementally removed rows since the last full retrain.
     pub removed_since_refit: usize,
 }
 
-/// Everything the durability layer must persist to reconstruct a slot
-/// bit-exactly: the session snapshot plus the registry bookkeeping a
-/// [`SessionSlot::commit`] mutates.
-#[derive(Debug, Clone)]
-pub(crate) struct DurableState {
-    /// The current session snapshot.
-    pub session: Arc<Session>,
-    /// Stable ids of the snapshot's rows (ascending).
-    pub ids: Vec<u64>,
-    /// The monotonic fresh-id counter (never rewinds, even when the tail
-    /// ids were retired — reallocating one would resurrect a deleted row).
-    pub next_id: u64,
-    /// Epoch of the snapshot.
-    pub epoch: u64,
-    /// Registration-time sample count (drift denominator).
-    pub initial_samples: usize,
-    /// Incrementally removed rows since the last full retrain.
-    pub removed_since_refit: usize,
-}
-
-impl SessionSlot {
-    fn new(session: Session) -> Self {
+impl SlotState {
+    /// The state of a freshly registered session: rows get stable ids
+    /// `0..n`, epoch 0, no drift.
+    pub(crate) fn new(session: Session) -> Self {
         let n = session.num_samples();
         Self {
-            state: RwLock::new(SlotState {
-                session: Arc::new(session),
-                ids: (0..n as u64).collect(),
-                next_id: n as u64,
-                epoch: 0,
-                initial_samples: n,
-                removed_since_refit: 0,
-            }),
-            apply_gate: Mutex::new(()),
+            session: Arc::new(session),
+            ids: (0..n as u64).collect(),
+            next_id: n as u64,
+            epoch: 0,
+            initial_samples: n,
+            removed_since_refit: 0,
         }
     }
 
-    /// Rebuilds a slot from persisted durable state (recovery path).
-    pub(crate) fn restore(state: DurableState) -> Self {
+    /// Rows removed incrementally since the last full retrain, as a
+    /// fraction of the registration-time sample count.
+    pub(crate) fn drift(&self) -> f64 {
+        if self.initial_samples == 0 {
+            0.0
+        } else {
+            self.removed_since_refit as f64 / self.initial_samples as f64
+        }
+    }
+
+    /// Advances the state past one applied batch: `successor` is the
+    /// session `apply_delta` returned for removing the current rows `rows`
+    /// (ascending, duplicate-free) and appending `num_added` rows.
+    /// Survivors keep their stable ids, appended rows get fresh ids from
+    /// `next_id`, the epoch bumps, and the drift counter accumulates
+    /// (`refit` resets it — a full retrain re-anchors the model on the
+    /// survivors). The live applier and WAL redo both advance through
+    /// this one function, which is what keeps them in lockstep.
+    pub(crate) fn advance(
+        &mut self,
+        successor: Arc<Session>,
+        rows: &[usize],
+        num_added: usize,
+        refit: bool,
+    ) {
+        let mut ids = Vec::with_capacity(self.ids.len() - rows.len() + num_added);
+        let mut removed = rows.iter().peekable();
+        for (ix, &id) in self.ids.iter().enumerate() {
+            if removed.next_if_eq(&&ix).is_none() {
+                ids.push(id);
+            }
+        }
+        ids.extend(self.next_id..self.next_id + num_added as u64);
+        self.next_id += num_added as u64;
+        self.session = successor;
+        self.ids = ids;
+        self.epoch += 1;
+        self.removed_since_refit = if refit {
+            0
+        } else {
+            self.removed_since_refit + rows.len()
+        };
+    }
+}
+
+/// A registered session: the unit the registry hands out. See the module
+/// docs for the publication model.
+#[derive(Debug)]
+pub struct SessionSlot {
+    state: RwLock<SlotState>,
+}
+
+impl SessionSlot {
+    fn new(state: SlotState) -> Self {
         Self {
-            state: RwLock::new(SlotState {
-                session: state.session,
-                ids: state.ids,
-                next_id: state.next_id,
-                epoch: state.epoch,
-                initial_samples: state.initial_samples,
-                removed_since_refit: state.removed_since_refit,
-            }),
-            apply_gate: Mutex::new(()),
+            state: RwLock::new(state),
         }
     }
 
@@ -148,23 +134,15 @@ impl SessionSlot {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Reads everything the durability layer persists, in one shared
-    /// acquisition — the snapshot writer calls this right after a commit.
-    pub(crate) fn durable_state(&self) -> DurableState {
-        let state = self.read();
-        DurableState {
-            session: state.session.clone(),
-            ids: state.ids.clone(),
-            next_id: state.next_id,
-            epoch: state.epoch,
-            initial_samples: state.initial_samples,
-            removed_since_refit: state.removed_since_refit,
-        }
+    /// A copy of the whole published state, read under one shared
+    /// acquisition (the session itself is shared, not cloned).
+    pub(crate) fn state(&self) -> SlotState {
+        self.read().clone()
     }
 
     /// The shared grant: the current session snapshot and its epoch. The
     /// lock is held only for the pointer clone; computation on the
-    /// returned session proceeds without blocking writers.
+    /// returned session proceeds without blocking the committer.
     pub fn snapshot(&self) -> (Arc<Session>, u64) {
         let state = self.read();
         (state.session.clone(), state.epoch)
@@ -179,76 +157,25 @@ impl SessionSlot {
     /// fraction of the registration-time sample count — the accumulated
     /// drift the scheduler folds into its retrain decision.
     pub fn drift(&self) -> f64 {
-        let state = self.read();
-        if state.initial_samples == 0 {
-            0.0
-        } else {
-            state.removed_since_refit as f64 / state.initial_samples as f64
-        }
+        self.read().drift()
     }
 
-    /// Takes the exclusive grant for one deletion batch. Held across
-    /// compute + commit, so batches on one session never interleave.
-    pub(crate) fn begin_apply(&self) -> MutexGuard<'_, ()> {
-        self.apply_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Reads everything a batch applier needs in one shared acquisition.
-    pub(crate) fn apply_view(&self) -> ApplyView {
-        let state = self.read();
-        ApplyView {
-            session: state.session.clone(),
-            ids: state.ids.clone(),
-            next_id: state.next_id,
-            epoch: state.epoch,
-            initial_samples: state.initial_samples,
-            removed_since_refit: state.removed_since_refit,
-        }
-    }
-
-    /// Commits a batch: swaps in the successor session and the surviving
-    /// id map, assigns `added` fresh stable ids to the rows the batch
-    /// appended (indexed after the survivors), bumps the epoch and updates
-    /// the drift counter (`refit` resets it — a full retrain re-anchors
-    /// the model on the survivors). Returns the new epoch. Caller must
-    /// hold the `apply_gate`.
+    /// Publishes a state computed off the lock: one pointer-sized install
+    /// under the write lock. Only the applier thread commits.
     ///
     /// # Panics
-    /// If `ids` contains an id the slot never assigned: fresh ids come
-    /// from the strictly monotonic `next_id` counter, so every committed
-    /// id must be below it — the invariant that makes retired ids
-    /// unreusable.
-    pub(crate) fn commit(
-        &self,
-        session: Arc<Session>,
-        mut ids: Vec<u64>,
-        removed: usize,
-        added: usize,
-        refit: bool,
-    ) -> u64 {
-        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&max) = ids.last() {
+    /// If the state holds an id at or above its own `next_id`: fresh ids
+    /// come from that strictly monotonic counter, so every live id must
+    /// be below it — the invariant that makes retired ids unreusable.
+    pub(crate) fn commit(&self, state: SlotState) {
+        if let Some(&max) = state.ids.last() {
             assert!(
                 max < state.next_id,
                 "stable id {max} was never assigned (next_id {})",
                 state.next_id
             );
         }
-        for _ in 0..added {
-            ids.push(state.next_id);
-            state.next_id += 1;
-        }
-        state.session = session;
-        state.ids = ids;
-        state.epoch += 1;
-        if refit {
-            state.removed_since_refit = 0;
-        } else {
-            state.removed_since_refit += removed;
-        }
-        state.epoch
+        *self.state.write().unwrap_or_else(PoisonError::into_inner) = state;
     }
 }
 
@@ -274,27 +201,17 @@ impl SessionRegistry {
     /// # Errors
     /// [`ServerError::SessionExists`] if the name is taken.
     pub fn register(&self, name: &str, session: Session) -> Result<Arc<SessionSlot>> {
-        let slot = Arc::new(SessionSlot::new(session));
-        let mut slots = self.lock();
-        if slots.contains_key(name) {
-            return Err(ServerError::SessionExists(name.to_string()));
-        }
-        slots.insert(name.to_string(), slot.clone());
-        Ok(slot)
+        self.register_state(name, SlotState::new(session))
     }
 
-    /// Registers a slot rebuilt from persisted durable state (recovery
-    /// path) — unlike [`SessionRegistry::register`], the id map, epoch and
-    /// drift counters come from the snapshot, not from scratch.
+    /// Registers a slot holding `state` — a fresh registration or one
+    /// rebuilt from persisted state by recovery, whose id map, epoch and
+    /// drift counters come from the snapshot.
     ///
     /// # Errors
     /// [`ServerError::SessionExists`] if the name is taken.
-    pub(crate) fn register_restored(
-        &self,
-        name: &str,
-        state: DurableState,
-    ) -> Result<Arc<SessionSlot>> {
-        let slot = Arc::new(SessionSlot::restore(state));
+    pub(crate) fn register_state(&self, name: &str, state: SlotState) -> Result<Arc<SessionSlot>> {
+        let slot = Arc::new(SessionSlot::new(state));
         let mut slots = self.lock();
         if slots.contains_key(name) {
             return Err(ServerError::SessionExists(name.to_string()));
@@ -404,33 +321,31 @@ mod tests {
         let (snap, epoch) = slot.snapshot();
         assert_eq!(epoch, 0);
         assert_eq!(slot.drift(), 0.0);
-        let view = slot.apply_view();
-        assert_eq!(view.ids, (0..50).collect::<Vec<u64>>());
-        assert_eq!(view.initial_samples, 50);
+        let mut state = slot.state();
+        assert_eq!(state.ids, (0..50).collect::<Vec<u64>>());
+        assert_eq!(state.initial_samples, 50);
 
-        // Commit a fake batch removing current rows {1, 3}: ids 1 and 3
-        // drop out of the id map, drift accumulates.
+        // Advance past a batch removing current rows {1, 3}: ids 1 and 3
+        // drop out of the id map, drift accumulates — and nothing is
+        // visible until the commit publishes it.
         let chained = {
             use priu_core::{DeletionEngine, Method};
             snap.apply(Method::Priu, &[1, 3]).unwrap()
         };
-        let _gate = slot.begin_apply();
-        let ids: Vec<u64> = view
-            .ids
-            .iter()
-            .copied()
-            .filter(|&id| id != 1 && id != 3)
-            .collect();
-        let epoch = slot.commit(Arc::new(chained.session), ids, 2, 0, false);
-        assert_eq!(epoch, 1);
+        state.advance(Arc::new(chained.session), &[1, 3], 0, false);
+        assert_eq!(slot.epoch(), 0);
+        slot.commit(state.clone());
         assert_eq!(slot.epoch(), 1);
-        assert_eq!(slot.apply_view().ids.len(), 48);
+        let ids = slot.state().ids;
+        assert_eq!(ids.len(), 48);
+        assert!(!ids.contains(&1) && !ids.contains(&3));
         assert!((slot.drift() - 2.0 / 50.0).abs() < 1e-15);
 
-        // A refit commit resets the drift counter.
+        // A refit advance resets the drift counter.
         let (snap, _) = slot.snapshot();
-        let epoch = slot.commit(snap, (0..48).collect(), 0, 0, true);
-        assert_eq!(epoch, 2);
+        state.advance(snap, &[], 0, true);
+        slot.commit(state);
+        assert_eq!(slot.epoch(), 2);
         assert_eq!(slot.drift(), 0.0);
     }
 
@@ -439,23 +354,21 @@ mod tests {
         let registry = SessionRegistry::new();
         let slot = registry.register("s", session(10, 3)).unwrap();
         let (snap, _) = slot.snapshot();
+        let mut state = slot.state();
 
-        // Retire ids {0, 1} and append 3 rows in the same commit: the
+        // Retire ids {0, 1} and append 3 rows in the same batch: the
         // fresh ids continue from the monotonic counter, skipping nothing
         // and reusing nothing.
-        let survivors: Vec<u64> = (2..10).collect();
-        slot.commit(snap.clone(), survivors, 2, 3, false);
-        let ids = slot.apply_view().ids;
-        assert_eq!(ids, (2..13).collect::<Vec<u64>>());
-        assert!(!ids.contains(&0) && !ids.contains(&1));
+        state.advance(snap.clone(), &[0, 1], 3, false);
+        assert_eq!(state.ids, (2..13).collect::<Vec<u64>>());
 
-        // Retire an appended row and append again: still no reuse — the
-        // next fresh id is 13 even though 0, 1 and 10 are free.
-        let survivors: Vec<u64> = ids.into_iter().filter(|&id| id != 10).collect();
-        slot.commit(snap, survivors, 1, 1, false);
-        let ids = slot.apply_view().ids;
+        // Retire an appended row (id 10, current row 8) and append again:
+        // still no reuse — the next fresh id is 13 even though 0, 1 and
+        // 10 are free.
+        state.advance(snap, &[8], 1, false);
+        slot.commit(state);
+        let ids = slot.state().ids;
         assert_eq!(*ids.last().unwrap(), 13);
-        assert!(!ids.contains(&10));
         // Every id ever retired stays retired.
         for retired in [0, 1, 10] {
             assert!(!ids.contains(&retired));
@@ -467,7 +380,8 @@ mod tests {
     fn committing_an_unassigned_id_panics() {
         let registry = SessionRegistry::new();
         let slot = registry.register("s", session(10, 4)).unwrap();
-        let (snap, _) = slot.snapshot();
-        slot.commit(snap, vec![0, 99], 0, 0, false);
+        let mut state = slot.state();
+        state.ids = vec![0, 99];
+        slot.commit(state);
     }
 }

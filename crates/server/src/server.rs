@@ -6,15 +6,35 @@
 //! * **Callers** (any number) predict synchronously on immutable
 //!   snapshots and enqueue change requests — deletions, additions,
 //!   sliding-window ticks — receiving a [`DeleteTicket`].
-//! * The **applier thread** sleeps on the planner condvar until a batch
-//!   deadline (or a flush/shutdown poke), takes every ready batch, and
-//!   applies them. When several sessions are ready at once the batches
-//!   fan out over the shared worker pool via [`par::run_tasks`] — the
-//!   per-session `apply_gate` keeps correctness, the pool gives
-//!   cross-session parallelism.
+//! * The **applier thread** — the only committer — sleeps on the planner
+//!   condvar until a batch deadline (or a flush/shutdown poke), takes
+//!   every ready batch, and runs them as one *round* (below). When
+//!   several sessions are ready at once their batches fan out over the
+//!   shared worker pool via [`par::run_tasks`].
 //! * **Connections** ([`Server::serve_connection`]) each get a dedicated
 //!   protocol reader thread plus a responder thread that resolves
 //!   change tickets in admission order.
+//!
+//! # Rounds: one commit path
+//!
+//! 1. **Compute**, per session in parallel: each batch, in FIFO order, is
+//!    resolved against the *actual* state the previous batch left (id
+//!    translation, retention expiry), its method decided on that state's
+//!    capture, and `apply_delta` run without publishing anything. On a
+//!    durable server the batch's WAL frame is appended only once its
+//!    apply succeeded; a failed apply fails only its own batch and writes
+//!    no frame.
+//! 2. **One fsync** for every frame the round appended, across all
+//!    sessions.
+//! 3. **Publish**: install each session's final state, hand the
+//!    snapshots that fell due to the snapshot thread, and answer every
+//!    request in order.
+//!
+//! Nothing becomes visible to predictions or acknowledged before it is
+//! durable, and a batch resolved within a round sees exactly the state a
+//! caller waiting on the previous ticket would have seen — so a backlog
+//! commits the same bits as the same requests sent one at a time, while
+//! sharing one fsync.
 //!
 //! # Determinism
 //!
@@ -48,9 +68,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use priu_core::{
-    CaptureSnapshot, DeletionEngine, Delta, DeltaRows, Method, Model, ModelKind, Session, TaskKind,
-};
+use priu_core::{DeletionEngine, Delta, DeltaRows, Method, Model, ModelKind, Session, TaskKind};
 use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::par;
 use priu_linalg::simd::{self, SimdLevel};
@@ -66,10 +84,10 @@ use crate::protocol::{
     Request, Response, ResponseEnvelope,
 };
 use crate::recovery::{recover, RecoveryReport};
-use crate::registry::{SessionRegistry, SessionSlot};
+use crate::registry::{SessionRegistry, SessionSlot, SlotState};
 use crate::scheduler::{CostModel, SchedulerConfig};
 use crate::snapshot::{SnapshotJob, SnapshotService};
-use crate::wal::{GroupCommitConfig, GroupWal, WalRecord, WalStats};
+use crate::wal::{GroupWal, WalRecord, WalStats};
 
 /// Durability configuration: where the WAL and snapshots live, and how
 /// often snapshots are cut.
@@ -82,25 +100,21 @@ pub struct DurabilityConfig {
     /// WAL suffix redo to at most `snapshot_every - 1` records per
     /// session.
     pub snapshot_every: u64,
-    /// Group-commit tuning: how many batches may share one WAL fsync and
-    /// how long a leader holds the group open. `max_group: 1` restores
-    /// one-fsync-per-batch.
-    pub group: GroupCommitConfig,
-    /// WAL compaction threshold: after each background snapshot lands,
-    /// the log is checkpointed (rewritten down to the snapshot coverage
-    /// frontier) once at least this many bytes were appended since the
-    /// previous checkpoint. Bounds log size for long-lived servers.
+    /// WAL compaction threshold: when a background snapshot lands and
+    /// leaves the snapshot queue empty, the log is checkpointed
+    /// (rewritten down to the snapshot coverage frontier) once at least
+    /// this many bytes were appended since the previous checkpoint.
+    /// Bounds log size for long-lived servers.
     pub checkpoint_bytes: u64,
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default snapshot cadence (8),
-    /// default group commit, and a 1 MiB checkpoint threshold.
+    /// Durability rooted at `dir` with the default snapshot cadence (8)
+    /// and a 1 MiB checkpoint threshold.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             snapshot_every: 8,
-            group: GroupCommitConfig::default(),
             checkpoint_bytes: 1 << 20,
         }
     }
@@ -153,11 +167,10 @@ pub struct SessionStats {
     pub decisions: Vec<(Method, u64)>,
 }
 
-/// The live durability state: the group-commit WAL plus the background
-/// snapshot service. The WAL's internal mutex serialises appends across
-/// sessions (batches fan out over the pool), which is also what assigns
-/// the global LSN order; fsyncs are amortised across whatever appended
-/// since the last one.
+/// The live durability state: the WAL plus the background snapshot
+/// service. The WAL's internal mutex serialises appends across sessions
+/// (a round's sessions fan out over the pool), which is also what assigns
+/// the global LSN order; the applier fsyncs once per round.
 struct Durability {
     snapshot_every: u64,
     wal: Arc<GroupWal>,
@@ -397,397 +410,249 @@ pub(crate) fn run_pinned<R>(cfg: &ServerConfig, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// One resolved batch of a chain, as phase 3 needs it. Nothing
-/// proportional to the session's row count is stored per step — survivor
-/// lists are recomputed at commit time from the slot's live ids — so a
-/// long chain costs memory proportional to its deltas, not its models.
-enum ChainStep {
-    /// The batch changes nothing (every id already gone, nothing
-    /// appended, no retention bite) — acknowledged in chain order, after
-    /// the group fsync, because its resolution assumed the preceding
-    /// batches applied.
-    Noop {
-        /// Epoch to report: the predicted committed epoch at this point.
-        epoch: u64,
-        /// Per request `(requested, applied = 0 by definition)`.
-        acks: Vec<(usize, usize)>,
-    },
-    /// A real delta to apply and commit.
-    Apply {
-        /// Removal row indices into the batch's pre-state, sorted.
-        rows: Vec<usize>,
-        /// Appended rows, flat `(width, features, labels)`.
-        added: Option<(usize, Vec<f64>, Vec<f64>)>,
-        /// The method the cost model chose at resolve time.
-        method: Method,
-        /// Retention-expired row count (already folded into `rows`).
-        expired: usize,
-        /// Pre-batch sample count (cost-model observation denominator).
-        pre_samples: usize,
-        /// The LSN the batch's WAL record got, if durable.
-        wal_lsn: Option<u64>,
-        /// Per request `(requested, applied)` against the pre-state.
-        acks: Vec<(usize, usize)>,
-    },
+/// What one session's share of an applier round computed, held back
+/// until the round's fsync: the state to publish, the snapshots that fell
+/// due, and every batch's replies in FIFO order.
+struct SessionRound {
+    /// The slot and the state its last applied batch left; `None` when
+    /// nothing applied (or the session was dropped between admission and
+    /// batching, which fails every batch).
+    commit: Option<(Arc<SessionSlot>, SlotState)>,
+    /// Periodic snapshots that fell due during the round.
+    snapshots: Vec<SnapshotJob>,
+    /// Each batch with its per-request replies or its failure message.
+    batches: Vec<(ReadyBatch, std::result::Result<Vec<BatchReply>, String>)>,
 }
 
-/// Applies a *chain* of ready batches for one session end to end. A
-/// chain is the maximal run of same-session batches one planner pass
-/// produced — always length 1 with coalescing on; with coalescing off a
-/// drained backlog arrives as one chain of single-request batches. The
-/// chain takes the session's apply gate once and pipelines the
-/// durability boundary in three phases:
-///
-/// 1. **Resolve + append.** Each batch is resolved *speculatively*
-///    against the predicted outcome of the previous one: id translation,
-///    retention expiry, drift, and the method decision are pure
-///    arithmetic over `{ids, next_id, epoch, removed_since_refit}` plus
-///    the capture metadata, every input of which the commit path derives
-///    deterministically — so the prediction is exact, not heuristic. The
-///    batch's WAL frame is appended (unsynced) carrying the previous
-///    record's LSN as `prev_lsn`.
-/// 2. **One group fsync** covers every frame the chain appended (other
-///    chains' frames may share it too — see [`GroupWal::sync_through`]).
-/// 3. **Apply + commit + ack**, per batch in order: the engine call, the
-///    registry commit, the periodic snapshot handoff to the snapshot
-///    thread, and the replies — exactly the single-batch sequence.
-///
-/// Per batch the durability contract is unchanged — gate → resolve →
-/// decide → append → fsync → apply → commit → ack — but k batches share
-/// one fsync instead of paying k. If an apply fails mid-chain, every
-/// *downstream* batch fails with it (their resolutions assumed it
-/// applied) and recovery skips their WAL records the same way via the
-/// `prev_lsn` dependency.
-fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
-    let reply_all_err = |batch: &ReadyBatch, message: &str| {
-        for request in &batch.requests {
-            let _ = request
-                .reply
-                .send(Err(ServerError::BatchFailed(message.to_string())));
-        }
+/// The compute half of a round for one session: every batch in FIFO
+/// order is resolved against the *actual* state the previous batch left,
+/// its method decided on that state's capture, applied, and — on a
+/// durable server — logged. Nothing is published here.
+fn compute_session(inner: &Inner, batches: Vec<ReadyBatch>) -> SessionRound {
+    let name = batches[0].session.clone();
+    let mut round = SessionRound {
+        commit: None,
+        snapshots: Vec::new(),
+        batches: Vec::with_capacity(batches.len()),
     };
-    let session_name = chain[0].session.clone();
-    let slot: Arc<SessionSlot> = match inner.registry.get(&session_name) {
+    let slot = match inner.registry.get(&name) {
         Ok(slot) => slot,
         Err(err) => {
-            // Session dropped between admission and batching.
             let message = err.to_string();
-            for batch in &chain {
-                reply_all_err(batch, &message);
-            }
-            return;
+            round.batches = batches
+                .into_iter()
+                .map(|b| (b, Err(message.clone())))
+                .collect();
+            return round;
         }
     };
+    let cost = inner.cost_model(&name);
+    let mut state = slot.state();
+    let epoch = state.epoch;
+    for batch in batches {
+        let result = compute_batch(inner, &name, &mut state, cost.as_deref(), &batch);
+        let result = result.map(|(replies, snapshot)| {
+            round.snapshots.extend(snapshot);
+            replies
+        });
+        round.batches.push((batch, result));
+    }
+    round.commit = (state.epoch != epoch).then_some((slot, state));
+    round
+}
 
-    // Exclusive grant first, *then* read the view: a batch folded while a
-    // previous batch of the same session was in flight must see the
-    // committed state, not the pre-batch snapshot.
-    let _gate = slot.begin_apply();
-    let view = slot.apply_view();
-    let cost = inner.cost_model(&session_name);
+/// Resolves, decides, applies and logs one batch against `state`,
+/// advancing it on success. Returns the batch's per-request replies plus
+/// the snapshot job its epoch made due, if any. A failure leaves `state`
+/// untouched and writes no WAL frame, so it fails only this batch.
+fn compute_batch(
+    inner: &Inner,
+    name: &str,
+    state: &mut SlotState,
+    cost: Option<&Mutex<CostModel>>,
+    batch: &ReadyBatch,
+) -> std::result::Result<(Vec<BatchReply>, Option<SnapshotJob>), String> {
+    // Translate stable ids → current row indices. The set keeps the
+    // removal indices sorted and deduplicated against retention expiry.
+    let mut removal: BTreeSet<usize> = batch
+        .union
+        .iter()
+        .filter_map(|id| state.ids.binary_search(id).ok())
+        .collect();
+    let num_added = batch.num_added();
 
-    // --- Phase 1: speculative resolve + WAL append -----------------------
-    let base_session = view.session;
-    let mut spec_ids = view.ids;
-    let mut spec_next_id = view.next_id;
-    let mut spec_epoch = view.epoch;
-    let mut spec_removed = view.removed_since_refit;
-    let initial_samples = view.initial_samples;
-    // The capture metadata the scheduler reads is constant across a
-    // chain except for the sample count, which the speculation tracks.
-    let mut base_snapshot: Option<CaptureSnapshot> = None;
-
-    let mut steps: Vec<ChainStep> = Vec::with_capacity(chain.len());
-    let mut last_lsn: Option<u64> = None;
-    let mut last_seq: Option<u64> = None;
-    let mut broken: Option<String> = None;
-
-    for batch in &chain {
-        // Translate stable ids → predicted row indices. The set keeps the
-        // removal indices sorted and deduplicated against retention
-        // expiry.
-        let mut removal: BTreeSet<usize> = BTreeSet::new();
-        for &id in &batch.union {
-            if let Ok(ix) = spec_ids.binary_search(&id) {
-                removal.insert(ix);
+    // Resolve the retention window against the pre-batch id list: expire
+    // the oldest pre-existing rows (lowest stable ids — the id map is
+    // ascending) not already deleted, never same-batch additions, clamped
+    // so at least one pre-existing row survives.
+    let mut expired = 0usize;
+    if let Some(keep) = batch.keep_last {
+        let pre_survivors = state.ids.len() - removal.len();
+        let over = (pre_survivors + num_added).saturating_sub(keep as usize);
+        let to_expire = over.min(pre_survivors.saturating_sub(1));
+        let mut ix = 0;
+        while expired < to_expire {
+            if removal.insert(ix) {
+                expired += 1;
             }
+            ix += 1;
         }
-        let num_added = batch.num_added();
-
-        // Resolve the retention window against the pre-batch id list:
-        // expire the oldest pre-existing rows (lowest stable ids — the id
-        // map is ascending) not already deleted, never same-batch
-        // additions, clamped so at least one pre-existing row survives.
-        let mut expired = 0usize;
-        if let Some(keep) = batch.keep_last {
-            let pre_survivors = spec_ids.len() - removal.len();
-            let over = (pre_survivors + num_added).saturating_sub(keep as usize);
-            let to_expire = over.min(pre_survivors.saturating_sub(1));
-            let mut ix = 0;
-            while expired < to_expire {
-                if removal.insert(ix) {
-                    expired += 1;
-                }
-                ix += 1;
-            }
-        }
-        let rows: Vec<usize> = removal.into_iter().collect();
-
-        let acks: Vec<(usize, usize)> = batch
+    }
+    let rows: Vec<usize> = removal.into_iter().collect();
+    // Per request `(requested, applied)` against the pre-batch ids.
+    let acks: Vec<(usize, usize)> = batch
+        .requests
+        .iter()
+        .map(|request| {
+            let distinct: BTreeSet<u64> = request.ids.iter().copied().collect();
+            let applied = distinct
+                .iter()
+                .filter(|id| state.ids.binary_search(id).is_ok())
+                .count();
+            (distinct.len(), applied)
+        })
+        .collect();
+    let batch_rows = rows.len();
+    let replies = |method: Option<Method>, seconds: f64, epoch: u64| -> Vec<BatchReply> {
+        batch
             .requests
             .iter()
-            .map(|request| {
-                let distinct: BTreeSet<u64> = request.ids.iter().copied().collect();
-                let applied = distinct
-                    .iter()
-                    .filter(|id| spec_ids.binary_search(id).is_ok())
-                    .count();
-                (distinct.len(), applied)
-            })
-            .collect();
-
-        if rows.is_empty() && num_added == 0 {
-            steps.push(ChainStep::Noop {
-                epoch: spec_epoch,
-                acks,
-            });
-            continue;
-        }
-
-        let snapshot = {
-            let mut snapshot = base_snapshot
-                .get_or_insert_with(|| base_session.capture_snapshot())
-                .clone();
-            snapshot.num_samples = spec_ids.len();
-            snapshot
-        };
-        let drift_after = if initial_samples == 0 {
-            0.0
-        } else {
-            (spec_removed + rows.len()) as f64 / initial_samples as f64
-        };
-        let method = match &cost {
-            Some(model) => model
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .decide_delta(&snapshot, rows.len(), num_added, drift_after),
-            None => Method::Retrain,
-        };
-        let added_flat = concat_added(batch);
-
-        // Durability boundary: the resolved removal set (stable ids after
-        // retention expiry) and the chosen method — both timing-dependent
-        // and hence recorded rather than re-derived — go to the WAL now;
-        // the shared fsync follows in phase 2, before anything applies or
-        // acks.
-        let mut wal_lsn = None;
-        if let Some(durability) = &inner.durability {
-            let mut record = WalRecord {
-                lsn: 0,
-                prev_lsn: last_lsn,
-                session: session_name.clone(),
-                method,
-                removed_ids: rows.iter().map(|&ix| spec_ids[ix]).collect(),
-                keep_last: batch.keep_last,
-                added: added_flat.clone(),
-            };
-            match durability.wal.append(&mut record) {
-                Ok(seq) => {
-                    wal_lsn = Some(record.lsn);
-                    last_lsn = Some(record.lsn);
-                    last_seq = Some(seq);
-                }
-                Err(err) => {
-                    // The log is broken: earlier appends can never fsync,
-                    // later resolutions would depend on this one. Fail
-                    // the whole chain below.
-                    broken = Some(err.to_string());
-                    break;
-                }
-            }
-        }
-
-        // Predict the commit: survivors keep their ids, appended rows
-        // take fresh ids, epoch bumps, drift accumulates (or resets on a
-        // retrain) — the exact arithmetic `SessionSlot::commit` runs.
-        let pre_samples = spec_ids.len();
-        let refit = method == Method::Retrain;
-        let mut survivors = Vec::with_capacity(spec_ids.len() - rows.len());
-        let mut next_removed = 0;
-        for (ix, &id) in spec_ids.iter().enumerate() {
-            if next_removed < rows.len() && rows[next_removed] == ix {
-                next_removed += 1;
-            } else {
-                survivors.push(id);
-            }
-        }
-        spec_ids = survivors;
-        for _ in 0..num_added {
-            spec_ids.push(spec_next_id);
-            spec_next_id += 1;
-        }
-        spec_epoch += 1;
-        spec_removed = if refit { 0 } else { spec_removed + rows.len() };
-
-        steps.push(ChainStep::Apply {
-            rows,
-            added: added_flat,
-            method,
-            expired,
-            pre_samples,
-            wal_lsn,
-            acks,
-        });
-    }
-
-    // --- Phase 2: one group fsync for the whole chain --------------------
-    if broken.is_none() {
-        if let (Some(durability), Some(seq)) = (&inner.durability, last_seq) {
-            if let Err(err) = durability.wal.sync_through(seq) {
-                broken = Some(err.to_string());
-            }
-        }
-    }
-    if let Some(message) = broken {
-        // Nothing was acknowledged; the session state is untouched.
-        let message = format!("durability failure: {message}");
-        for batch in &chain {
-            reply_all_err(batch, &message);
-        }
-        return;
-    }
-
-    // --- Phase 3: apply + commit + ack, in chain order -------------------
-    let mut current_session = base_session;
-    let mut chain_failed: Option<String> = None;
-    for (step, batch) in steps.into_iter().zip(chain.iter()) {
-        if let Some(message) = &chain_failed {
-            // This batch's resolution assumed the failed batch applied —
-            // even a "nothing to do" resolution — so it fails with it.
-            reply_all_err(batch, message);
-            continue;
-        }
-        match step {
-            ChainStep::Noop { epoch, acks } => {
-                for (request, (requested, _)) in batch.requests.iter().zip(acks) {
-                    let _ = request.reply.send(Ok(BatchReply {
-                        requested,
-                        applied: 0,
-                        stale: requested,
-                        added: 0,
-                        expired: 0,
-                        batch_rows: 0,
-                        method: None,
-                        seconds: 0.0,
-                        epoch,
-                    }));
-                }
-            }
-            ChainStep::Apply {
-                rows,
-                added,
-                method,
+            .zip(&acks)
+            .map(|(request, &(requested, applied))| BatchReply {
+                requested,
+                applied,
+                stale: requested - applied,
+                added: request.num_added(),
                 expired,
-                pre_samples,
-                wal_lsn,
-                acks,
-            } => {
-                let num_added = batch.num_added();
-                // The one engine call the batch reduces to: the union
-                // delta, additions concatenated in FIFO admission order.
-                let delta = Delta {
-                    removed: rows.clone(),
-                    added: added
-                        .map(|(width, features, labels)| {
-                            dense_added(current_session.task(), width, features, labels)
-                        })
-                        .map(DeltaRows::Dense),
-                };
-                let outcome =
-                    run_pinned(&inner.cfg, || current_session.apply_delta(method, &delta));
-                let chained = match outcome {
-                    Ok(chained) => chained,
-                    Err(err) => {
-                        // The pre-batch state stays committed; everything
-                        // downstream resolved against a state that will
-                        // now never exist.
-                        let message = format!(
-                            "{method:?} removing {} and adding {num_added} rows: {err}",
-                            rows.len()
-                        );
-                        reply_all_err(batch, &message);
-                        chain_failed =
-                            Some(format!("a preceding batch of the chain failed: {message}"));
-                        continue;
-                    }
-                };
-                let seconds = chained.outcome.duration.as_secs_f64();
-                // A retrain's successor carries the measured offline
-                // phase of its refit (training + provenance capture) —
-                // feed it to the flat retrain term so scheduling tracks
-                // the real eigensolver.
-                let refit = method == Method::Retrain;
-                let refit_offline =
-                    refit.then(|| chained.session.capture_snapshot().training_seconds);
-                // Survivors from the slot's *live* ids (equal to the
-                // phase-1 prediction — the chain holds the gate, so only
-                // our own commits advanced the slot).
-                let pre_ids = slot.apply_view().ids;
-                let mut survivors = Vec::with_capacity(pre_ids.len() - rows.len());
-                let mut next_removed = 0;
-                for (ix, &id) in pre_ids.iter().enumerate() {
-                    if next_removed < rows.len() && rows[next_removed] == ix {
-                        next_removed += 1;
-                    } else {
-                        survivors.push(id);
-                    }
+                batch_rows,
+                method,
+                seconds,
+                epoch,
+            })
+            .collect()
+    };
+
+    if rows.is_empty() && num_added == 0 {
+        // Nothing to do: acknowledged without an engine call or an epoch.
+        return Ok((replies(None, 0.0, state.epoch), None));
+    }
+
+    let drift_after = if state.initial_samples == 0 {
+        0.0
+    } else {
+        (state.removed_since_refit + rows.len()) as f64 / state.initial_samples as f64
+    };
+    let method = match cost {
+        Some(model) => model
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .decide_delta(
+                &state.session.capture_snapshot(),
+                rows.len(),
+                num_added,
+                drift_after,
+            ),
+        None => Method::Retrain,
+    };
+    // The one engine call the batch reduces to: the union delta,
+    // additions concatenated in FIFO admission order.
+    let added = concat_added(batch);
+    let delta = Delta {
+        removed: rows,
+        added: added
+            .clone()
+            .map(|(width, features, labels)| {
+                dense_added(state.session.task(), width, features, labels)
+            })
+            .map(DeltaRows::Dense),
+    };
+    let chained =
+        run_pinned(&inner.cfg, || state.session.apply_delta(method, &delta)).map_err(|err| {
+            format!("{method:?} removing {batch_rows} and adding {num_added} rows: {err}")
+        })?;
+    let seconds = chained.outcome.duration.as_secs_f64();
+    let refit = method == Method::Retrain;
+    if let Some(model) = cost {
+        let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
+        model.observe_delta(method, batch_rows, num_added, state.ids.len(), seconds);
+        // A retrain's successor carries the measured offline phase of its
+        // refit (training + provenance capture) — feed it to the flat
+        // retrain term so scheduling tracks the real eigensolver.
+        if refit {
+            model.observe_offline(chained.session.capture_snapshot().training_seconds);
+        }
+    }
+    fail_point("apply-before-commit");
+
+    // Durability: the resolved removal set (stable ids after retention
+    // expiry) and the chosen method — both timing-dependent and hence
+    // recorded rather than re-derived — go to the WAL now that the apply
+    // succeeded; the round's one fsync follows before anything publishes.
+    let mut lsn = None;
+    if let Some(durability) = &inner.durability {
+        let mut record = WalRecord {
+            lsn: 0,
+            session: name.to_string(),
+            method,
+            removed_ids: delta.removed.iter().map(|&ix| state.ids[ix]).collect(),
+            keep_last: batch.keep_last,
+            added,
+        };
+        let appended = durability.wal.append(&mut record);
+        lsn = Some(appended.map_err(|err| format!("durability failure: {err}"))?);
+    }
+
+    state.advance(Arc::new(chained.session), &delta.removed, num_added, refit);
+    // Periodic snapshot: a copy-on-write handoff of the post-batch state,
+    // enqueued once the round is durable. Best-effort: the WAL already
+    // makes the batch durable, a failed snapshot only lengthens the next
+    // redo.
+    let snapshot = match (&inner.durability, lsn) {
+        (Some(durability), Some(lsn)) if state.epoch.is_multiple_of(durability.snapshot_every) => {
+            Some(SnapshotJob {
+                session: name.to_string(),
+                covered_lsn: lsn + 1,
+                state: state.clone(),
+                reply: None,
+            })
+        }
+        _ => None,
+    };
+    Ok((replies(Some(method), seconds, state.epoch), snapshot))
+}
+
+/// The publish half of a round for one session, run after the round's
+/// fsync: install the computed state, hand off the snapshots that fell
+/// due, and answer every request in FIFO order. If the fsync failed,
+/// nothing is installed and every request gets the durability error.
+fn publish_session(inner: &Inner, round: SessionRound, synced: &std::result::Result<(), String>) {
+    if synced.is_ok() {
+        if let Some((slot, state)) = round.commit {
+            slot.commit(state);
+        }
+        if let Some(durability) = &inner.durability {
+            for job in round.snapshots {
+                fail_point("snapshot-handoff");
+                let (session, epoch) = (job.session.clone(), job.state.epoch);
+                if let Err(err) = durability.snapshots.enqueue(job) {
+                    eprintln!("scheduling snapshot of {session} at epoch {epoch}: {err}");
                 }
-                fail_point("apply-before-commit");
-                let successor = Arc::new(chained.session);
-                current_session = Arc::clone(&successor);
-                let epoch = slot.commit(successor, survivors, rows.len(), num_added, refit);
-                // Periodic snapshot: a copy-on-write handoff of the
-                // committed state to the snapshot thread — the Arc-swap
-                // commit already produced an immutable post-batch model,
-                // so the applier only enqueues and moves on. Best-effort:
-                // the WAL already makes the batch durable, a failed
-                // snapshot only lengthens the next redo.
-                if let (Some(durability), Some(lsn)) = (&inner.durability, wal_lsn) {
-                    if epoch.is_multiple_of(durability.snapshot_every) {
-                        fail_point("snapshot-handoff");
-                        let job = SnapshotJob {
-                            session: session_name.clone(),
-                            covered_lsn: lsn + 1,
-                            state: slot.durable_state(),
-                            reply: None,
-                        };
-                        if let Err(err) = durability.snapshots.enqueue(job) {
-                            eprintln!(
-                                "scheduling snapshot of {session_name} at epoch {epoch}: {err}"
-                            );
-                        }
-                    }
+            }
+        }
+        fail_point("before-ack");
+    }
+    for (batch, result) in round.batches {
+        match synced.clone().and(result) {
+            Ok(replies) => {
+                for (request, reply) in batch.requests.iter().zip(replies) {
+                    let _ = request.reply.send(Ok(reply));
                 }
-                fail_point("before-ack");
-                if let Some(model) = &cost {
-                    let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
-                    model.observe_delta(method, rows.len(), num_added, pre_samples, seconds);
-                    if let Some(offline) = refit_offline {
-                        model.observe_offline(offline);
-                    }
-                }
-                for (request, (requested, applied)) in batch.requests.iter().zip(acks) {
-                    let _ = request.reply.send(Ok(BatchReply {
-                        requested,
-                        applied,
-                        stale: requested - applied,
-                        added: request.num_added(),
-                        expired,
-                        batch_rows: rows.len(),
-                        method: Some(method),
-                        seconds,
-                        epoch,
-                    }));
+            }
+            Err(message) => {
+                for request in &batch.requests {
+                    let _ = request
+                        .reply
+                        .send(Err(ServerError::BatchFailed(message.clone())));
                 }
             }
         }
@@ -799,14 +664,17 @@ fn applier_loop(inner: &Arc<Inner>) {
         let ready: Vec<ReadyBatch> = {
             let mut planner = inner.planner();
             loop {
-                if inner.shutdown.load(Ordering::Acquire) {
+                // One read per pass: exiting on a shutdown this pass did
+                // not flush for would abandon admitted requests.
+                let stopping = inner.shutdown.load(Ordering::Acquire);
+                if stopping {
                     planner.flush_all();
                 }
                 let ready = planner.take_ready(Instant::now(), &inner.cfg.planner);
                 if !ready.is_empty() {
                     break ready;
                 }
-                if inner.shutdown.load(Ordering::Acquire) {
+                if stopping {
                     return; // drained
                 }
                 let wait = match planner.next_deadline(&inner.cfg.planner) {
@@ -827,31 +695,34 @@ fn applier_loop(inner: &Arc<Inner>) {
                     .0;
             }
         };
-        // Planner lock released: applying never blocks admission.
-        // Same-session batches arrive adjacent (take_ready emits in
-        // session order), so maximal same-session runs become chains that
-        // share one group fsync; distinct sessions fan out over the pool.
-        let mut chains: Vec<Vec<ReadyBatch>> = Vec::new();
+        // Planner lock released: applying never blocks admission. One
+        // round: same-session batches arrive adjacent (take_ready emits in
+        // session order) and run in FIFO order; distinct sessions fan out
+        // over the pool.
+        let mut sessions: Vec<Vec<ReadyBatch>> = Vec::new();
         for batch in ready {
-            match chains.last_mut() {
-                Some(chain) if chain[0].session == batch.session => chain.push(batch),
-                _ => chains.push(vec![batch]),
+            match sessions.last_mut() {
+                Some(run) if run[0].session == batch.session => run.push(batch),
+                _ => sessions.push(vec![batch]),
             }
         }
-        if chains.len() == 1 {
-            for chain in chains {
-                apply_chain(inner, chain);
-            }
-        } else {
-            par::run_tasks(
-                chains
-                    .into_iter()
-                    .map(|chain| {
-                        let inner = Arc::clone(inner);
-                        move || apply_chain(&inner, chain)
-                    })
-                    .collect(),
-            );
+        let rounds = par::run_tasks(
+            sessions
+                .into_iter()
+                .map(|batches| move || compute_session(inner, batches))
+                .collect(),
+        );
+        // One fsync covers every frame the round appended, across all
+        // sessions — and nothing is visible or acknowledged before it.
+        let synced = match &inner.durability {
+            Some(durability) => durability
+                .wal
+                .sync()
+                .map_err(|err| format!("durability failure: {err}")),
+            None => Ok(()),
+        };
+        for round in rounds {
+            publish_session(inner, round, &synced);
         }
     }
 }
@@ -873,9 +744,14 @@ impl Server {
     ///
     /// # Errors
     /// [`ServerError::Durability`] on genuine I/O failure in the
-    /// durability directory. Corrupt WAL tails or snapshot files are
-    /// *not* errors — they are skipped and reported. A server without
-    /// durability never fails to start.
+    /// durability directory, or when a WAL frame passes its checksum but
+    /// does not decode (e.g. a delta frame written by an older server) —
+    /// the WAL is then left untouched. [`ServerError::Redo`] when a
+    /// logged record does not redo: every record was applied live before
+    /// it was written, so that means a corrupt log. Torn WAL tails and
+    /// corrupt snapshot files are *not* errors — the tail is truncated,
+    /// the file skipped, and both reported. A server without durability
+    /// never fails to start.
     pub fn start(cfg: ServerConfig) -> Result<Self> {
         let mut durability = None;
         let mut recovery = None;
@@ -884,7 +760,7 @@ impl Server {
             let recovered = recover(&cfg, &dur_cfg.dir)?;
             restored = recovered.sessions;
             recovery = Some(recovered.report);
-            let wal = Arc::new(GroupWal::new(recovered.wal, dur_cfg.group));
+            let wal = Arc::new(GroupWal::new(recovered.wal));
             let snapshots = SnapshotService::start(
                 dur_cfg.dir.clone(),
                 Arc::clone(&wal),
@@ -908,7 +784,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
         for (name, state) in restored {
-            inner.registry.register_restored(&name, state)?;
+            inner.registry.register_state(&name, state)?;
             inner
                 .cost
                 .lock()
@@ -928,8 +804,8 @@ impl Server {
         })
     }
 
-    /// What restart recovery loaded, redid, and skipped. `None` on a
-    /// server without durability.
+    /// What restart recovery loaded and redid. `None` on a server
+    /// without durability.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.inner.recovery.as_ref()
     }
@@ -956,7 +832,7 @@ impl Server {
             // baseline rides the snapshot thread like every other
             // snapshot, blocking until it is durable.
             let covered_lsn = durability.wal.next_lsn();
-            let state = slot.durable_state();
+            let state = slot.state();
             if let Err(err) = durability
                 .snapshots
                 .write_baseline(name, covered_lsn, state)
@@ -1073,10 +949,10 @@ impl Server {
         ConnectionHandle { handle }
     }
 
-    /// Cumulative durability counters — fsyncs, frames, bytes appended,
-    /// largest group one fsync covered, checkpoints completed. `None` on
-    /// a server without durability. Mean group size is
-    /// `frames / fsyncs`.
+    /// Cumulative durability counters — fsyncs (one per applier round
+    /// that appended), frames, bytes appended, most frames one fsync
+    /// covered, checkpoints completed. `None` on a server without
+    /// durability. Mean frames per fsync is `frames / fsyncs`.
     pub fn durability_stats(&self) -> Option<WalStats> {
         self.inner.durability.as_ref().map(|d| d.wal.stats())
     }
@@ -1096,7 +972,13 @@ impl Server {
     /// the snapshot thread — so a clean shutdown never abandons a
     /// scheduled snapshot. Idempotent; safe from multiple threads.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set under the planner lock: the applier reads the flag and
+        // starts waiting under that lock, so the notify cannot fall
+        // between the two and leave it asleep until its next deadline.
+        {
+            let _planner = self.inner.planner();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work.notify_all();
         let handle = self
             .applier

@@ -47,7 +47,7 @@ use priu_core::{DeletionEngine, Session};
 
 use crate::error::{Result, ServerError};
 use crate::failpoint::fail_point;
-use crate::registry::DurableState;
+use crate::registry::SlotState;
 use crate::wal::{crc32, read_file, sync_parent_dir, GroupWal};
 
 /// Identifies a file as a PrIU session snapshot, version 1.
@@ -59,7 +59,7 @@ pub(crate) struct LoadedSnapshot {
     /// Every WAL record with `lsn < covered_lsn` is folded in already.
     pub covered_lsn: u64,
     /// The slot state to restore.
-    pub state: DurableState,
+    pub state: SlotState,
 }
 
 /// A snapshot file that existed but could not be used — recovery reports
@@ -117,7 +117,7 @@ fn parse_snapshot_name(file_name: &str) -> Option<(String, u64)> {
 
 // --- writing --------------------------------------------------------------
 
-fn encode_snapshot(covered_lsn: u64, state: &DurableState) -> Vec<u8> {
+fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u64(covered_lsn);
     w.u64(state.epoch);
@@ -171,7 +171,7 @@ fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String
     }
     Ok(LoadedSnapshot {
         covered_lsn,
-        state: DurableState {
+        state: SlotState {
             session: Arc::new(session),
             ids,
             next_id,
@@ -193,7 +193,7 @@ pub(crate) fn write_snapshot(
     dir: &Path,
     session: &str,
     covered_lsn: u64,
-    state: &DurableState,
+    state: &SlotState,
 ) -> Result<PathBuf> {
     let snap_dir = snapshot_dir(dir);
     std::fs::create_dir_all(&snap_dir)
@@ -419,7 +419,7 @@ pub(crate) struct SnapshotJob {
     /// produced this state).
     pub covered_lsn: u64,
     /// The full durable state to serialize.
-    pub state: DurableState,
+    pub state: SlotState,
     /// Registration baselines block on the write — the registration is
     /// not acknowledged until the baseline is durable. Periodic snapshots
     /// are fire-and-forget (`None`): the WAL already makes their batches
@@ -436,9 +436,9 @@ struct ServiceState {
 
 /// The dedicated snapshot thread: drains a FIFO queue of
 /// [`SnapshotJob`]s, writes each through the same temp/rename path the
-/// inline writer used, and triggers a WAL checkpoint after each
-/// successful write (newest durable snapshot set = newest truncation
-/// frontier). FIFO with no superseding keeps the on-disk epoch history
+/// inline writer used, and considers a WAL checkpoint whenever a
+/// successful write empties the queue (newest durable snapshot set =
+/// newest truncation frontier). FIFO with no superseding keeps the on-disk epoch history
 /// identical to the inline writer's — recovery's corrupt-newest-epoch
 /// fallback depends on the predecessor epoch actually existing.
 pub(crate) struct SnapshotService {
@@ -449,10 +449,11 @@ pub(crate) struct SnapshotService {
 }
 
 impl SnapshotService {
-    /// Spawns the snapshot thread for the store at `dir`. After every
-    /// successful snapshot the worker recomputes the coverage floors and
-    /// runs [`GroupWal::checkpoint_if_due`] with `checkpoint_bytes` as
-    /// the threshold.
+    /// Spawns the snapshot thread for the store at `dir`. After a
+    /// successful snapshot that leaves the queue empty the worker runs
+    /// [`GroupWal::checkpoint_if_due`] with `checkpoint_bytes` as the
+    /// threshold, which computes the coverage floors only when a
+    /// checkpoint is due.
     pub(crate) fn start(dir: PathBuf, wal: Arc<GroupWal>, checkpoint_bytes: u64) -> Arc<Self> {
         let service = Arc::new(Self {
             state: Mutex::new(ServiceState {
@@ -516,15 +517,14 @@ impl SnapshotService {
                 (None, Ok(_)) => {}
             }
             // The snapshot set just advanced: see whether the WAL has
-            // accumulated enough to be worth compacting against it.
-            if wrote {
-                match coverage_floors(dir) {
-                    Ok(floors) => {
-                        if let Err(err) = wal.checkpoint_if_due(checkpoint_bytes, &floors) {
-                            eprintln!("WAL checkpoint failed: {err}");
-                        }
-                    }
-                    Err(err) => eprintln!("skipping WAL checkpoint: {err}"),
+            // accumulated enough to be worth compacting against it — once
+            // the queue is empty, so a lagging worker compacts against its
+            // newest snapshots instead of spending the byte budget on a
+            // stale floor. The floors re-read every snapshot file, so only
+            // a due checkpoint computes them.
+            if wrote && self.lock().jobs.is_empty() {
+                if let Err(err) = wal.checkpoint_if_due(checkpoint_bytes, || coverage_floors(dir)) {
+                    eprintln!("WAL checkpoint failed: {err}");
                 }
             }
 
@@ -561,7 +561,7 @@ impl SnapshotService {
         &self,
         session: &str,
         covered_lsn: u64,
-        state: DurableState,
+        state: SlotState,
     ) -> Result<PathBuf> {
         let (tx, rx) = channel();
         self.enqueue(SnapshotJob {
@@ -618,7 +618,7 @@ mod tests {
     use priu_data::catalog::Hyperparameters;
     use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 
-    fn state(n: usize, seed: u64, epoch: u64) -> DurableState {
+    fn state(n: usize, seed: u64, epoch: u64) -> SlotState {
         let data = generate_regression(&RegressionConfig {
             num_samples: n,
             num_features: 4,
@@ -635,7 +635,7 @@ mod tests {
             .seed(1)
             .fit()
             .unwrap();
-        DurableState {
+        SlotState {
             session: Arc::new(session),
             ids: (5..5 + n as u64).collect(),
             next_id: 5 + n as u64,
@@ -745,7 +745,7 @@ mod tests {
     fn snapshot_service_writes_in_fifo_order_and_drains() {
         let dir = tempdir("snap-service");
         let wal_path = dir.join("deltas.wal");
-        let (wal, _) = GroupWal::open(&wal_path, Default::default()).unwrap();
+        let (wal, _) = GroupWal::open(&wal_path).unwrap();
         let service = SnapshotService::start(dir.clone(), Arc::new(wal), u64::MAX);
         // A blocking baseline, then two fire-and-forget epochs.
         service.write_baseline("s", 0, state(20, 7, 0)).unwrap();

@@ -1,20 +1,20 @@
-//! The deletion write-ahead log: append-only CRC frames, group commit,
-//! and checkpoint compaction.
+//! The deletion write-ahead log: append-only CRC frames, one fsync per
+//! applier round, and checkpoint compaction.
 //!
-//! An append-only file of length-prefixed, CRC-checksummed frames. A
-//! batch is acknowledged on the wire only after its frame is fsync'd
-//! (see `server::apply_chain` — WAL append → group fsync → engine apply
-//! → registry commit → ack), so an acknowledged deletion can always be
-//! redone after a crash.
+//! An append-only file of length-prefixed, CRC-checksummed frames. The
+//! applier appends a batch's frame only after the batch applied, then
+//! makes **one** fsync for every frame of the round — across all
+//! sessions — before anything is published or acknowledged (see the
+//! `server` module docs), so an acknowledged change can always be redone
+//! after a crash.
 //!
 //! # Frame format
 //!
 //! ```text
 //! [u32 len][u32 crc32][payload: len bytes]
-//! payload = u8 kind (0 = delta record, 1 = checkpoint)
+//! payload = u8 kind (2 = delta record, 1 = checkpoint)
 //!
-//! kind 0:   u64 lsn
-//!           u8  prev_lsn flag (+ u64 prev_lsn)
+//! kind 2:   u64 lsn
 //!           u32 session-name len + bytes (UTF-8)
 //!           u8  method index into Method::ALL
 //!           u64 removed-id count + that many u64 stable ids
@@ -33,42 +33,47 @@
 //! (CRC-32/IEEE, hand-rolled table — no dependencies) covers the payload
 //! only: a torn length prefix already fails the length check.
 //!
-//! # Group commit
+//! Kind 0 was the delta frame of older servers, which also linked each
+//! speculatively resolved record to its antecedent. It no longer decodes:
+//! [`Wal::open`] refuses such a log rather than truncating it.
 //!
-//! [`GroupWal`] wraps the log for the applier path: concurrently (or
-//! consecutively) resolved batches are **appended as individual frames
-//! but share one fsync**. [`GroupWal::append`] writes the frame and
-//! returns a commit sequence number; [`GroupWal::sync_through`] blocks
-//! until that sequence is durable, electing the first waiter as the
-//! *leader* that fsyncs on behalf of everything appended so far (capped
-//! at [`GroupCommitConfig::max_group`]) while followers wait on the
-//! condvar. At `max_group == 1` this degenerates to the one-fsync-per-
-//! batch behaviour the durability layer shipped with. An append or fsync
-//! failure marks the log **broken** — sticky, because a failed
-//! `write_all` may leave a partial frame that later frames would land
-//! behind — and every subsequent operation fails fast.
+//! # Commit
+//!
+//! [`GroupWal`] is the shared front the applier and the snapshot thread
+//! use. [`GroupWal::append`] writes one frame and assigns its LSN under
+//! the log mutex (so LSN order is file order); [`GroupWal::sync`] makes
+//! one fsync covering every frame appended since the last one — the
+//! applier calls it once per round, after every session's batches were
+//! computed. An append or fsync failure marks the log **broken** —
+//! sticky, because a failed `write_all` may leave a partial frame that
+//! later frames would land behind — and every subsequent operation fails
+//! fast.
 //!
 //! # Checkpoints
 //!
-//! [`GroupWal::checkpoint_if_due`] bounds the log: given the per-session
-//! covered-LSN floors implied by the durable snapshots, it rewrites the
-//! live suffix (every record at or past its session's floor) into a new
-//! log headed by a kind-1 checkpoint frame, atomically renames it over
-//! the old one, and truncates everything every session's snapshots
-//! already cover. The checkpoint frame preserves the LSN counter so
-//! sequence numbers never rewind. Crash points `checkpoint-mid-rewrite`
-//! / `checkpoint-before-rename` / `checkpoint-after-rename` leave either
-//! the old log (plus an ignored `.tmp`) or the complete new one.
+//! [`GroupWal::checkpoint_if_due`] bounds the log: once enough bytes were
+//! appended, it takes the per-session covered-LSN floors implied by the
+//! durable snapshots, rewrites the live suffix (every record at or past
+//! its session's floor) into a new log headed by a kind-1 checkpoint
+//! frame, atomically renames it over the old one, and truncates
+//! everything every session's snapshots already cover. The checkpoint
+//! frame preserves the LSN counter so sequence numbers never rewind.
+//! Crash points `checkpoint-mid-rewrite` / `checkpoint-before-rename` /
+//! `checkpoint-after-rename` leave either the old log (plus an ignored
+//! `.tmp`) or the complete new one.
 //!
-//! # Torn-tail semantics
+//! # Torn tails and undecodable frames
 //!
 //! The reader returns the longest valid frame prefix plus a typed
-//! [`WalTail`] describing why it stopped (truncated frame, bad checksum,
-//! undecodable payload). A torn tail is *normal* after a crash — the
-//! frame that was mid-write was by definition unacknowledged — so
-//! recovery logs the tail and truncates the file back to the valid
-//! prefix before appending again. What the reader never does is panic or
-//! apply half a frame.
+//! [`WalTail`] describing why it stopped. A torn tail (truncated frame,
+//! bad checksum, oversized length) is *normal* after a crash — the frame
+//! that was mid-write was by definition unacknowledged — so opening the
+//! log truncates the file back to the valid prefix before appending
+//! again. A frame that passes its checksum but does not decode
+//! ([`WalTail::BadPayload`]) is different: it was written whole, so
+//! records behind it may be acknowledged. [`Wal::open`] refuses such a
+//! log with a typed error and leaves the file untouched. What the reader
+//! never does is panic or apply half a frame.
 //!
 //! # Records store *resolved* deltas
 //!
@@ -79,16 +84,13 @@
 //! seconds), so redo must not re-derive them. Everything downstream of
 //! the record — id translation, `apply_delta`, survivor computation,
 //! fresh-id assignment — is deterministic, which is what makes replay
-//! bitwise-exact. A record resolved speculatively against the outcome of
-//! an earlier, not-yet-applied record in the same group carries that
-//! record's LSN as `prev_lsn`, so recovery can skip the dependent chain
-//! if the antecedent's redo fails.
+//! bitwise-exact. Every record was resolved against the actual state its
+//! predecessor left and is logged only after its apply succeeded.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use priu_core::snapshot::{SnapshotReader, SnapshotWriter};
 use priu_core::Method;
@@ -100,8 +102,9 @@ use crate::failpoint::fail_point;
 /// garbage bytes would otherwise ask for gigabytes).
 pub const MAX_WAL_FRAME_BYTES: u32 = 1 << 30;
 
-/// Frame payload kind: one committed union delta.
-const KIND_DELTA: u8 = 0;
+/// Frame payload kind: one committed union delta. (Kind 0, the older
+/// delta frame, is refused — see the module docs.)
+const KIND_DELTA: u8 = 2;
 /// Frame payload kind: a checkpoint (compaction marker).
 const KIND_CHECKPOINT: u8 = 1;
 
@@ -110,12 +113,6 @@ const KIND_CHECKPOINT: u8 = 1;
 pub struct WalRecord {
     /// Log sequence number, strictly increasing across the file.
     pub lsn: u64,
-    /// LSN of the record this one was speculatively resolved against
-    /// (same-session, same commit group, not yet applied at resolve
-    /// time). Recovery skips this record if the antecedent's redo was
-    /// skipped — the resolution would no longer be meaningful. `None`
-    /// when the record was resolved against committed state.
-    pub prev_lsn: Option<u64>,
     /// The session the batch targeted.
     pub session: String,
     /// The method the cost model chose (recorded because the choice is
@@ -272,13 +269,6 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u8(KIND_DELTA);
     w.u64(record.lsn);
-    match record.prev_lsn {
-        None => w.bool(false),
-        Some(prev) => {
-            w.bool(true);
-            w.u64(prev);
-        }
-    }
     write_name(&mut w, &record.session);
     w.u8(method_index(record.method));
     w.usize(record.removed_ids.len());
@@ -317,11 +307,6 @@ fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         return Err(format!("expected delta frame, got kind {kind}"));
     }
     let lsn = r.u64("lsn").map_err(fail)?;
-    let prev_lsn = if r.bool("prev_lsn flag").map_err(fail)? {
-        Some(r.u64("prev_lsn").map_err(fail)?)
-    } else {
-        None
-    };
     let session = read_name(&mut r, "session name")?;
     let method_ix = r.u8("method").map_err(fail)? as usize;
     let method = *Method::ALL
@@ -366,7 +351,6 @@ fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
     r.finish().map_err(fail)?;
     Ok(WalRecord {
         lsn,
-        prev_lsn,
         session,
         method,
         removed_ids,
@@ -507,9 +491,19 @@ impl Wal {
     /// redo / report it.
     ///
     /// # Errors
-    /// [`ServerError::Durability`] on I/O failure.
+    /// [`ServerError::Durability`] on I/O failure, and when a frame
+    /// passes its checksum but does not decode ([`WalTail::BadPayload`] —
+    /// e.g. a delta frame of an older format): the file is then left
+    /// untouched, because records behind a whole frame may have been
+    /// acknowledged.
     pub fn open(path: &Path) -> Result<(Wal, WalScan)> {
         let scan = scan_wal(path)?;
+        if let Some(tail @ WalTail::BadPayload { .. }) = &scan.tail {
+            return Err(ServerError::Durability(format!(
+                "refusing to open WAL {}: {tail}",
+                path.display()
+            )));
+        }
         let io = |what: &str, e: std::io::Error| {
             ServerError::Durability(format!("{what} {}: {e}", path.display()))
         };
@@ -548,8 +542,8 @@ impl Wal {
 
     /// Appends one record *without* syncing: frame write and LSN
     /// assignment only (crash point `wal-after-append` after the write).
-    /// The record is not durable until a subsequent fsync; group commit
-    /// batches several appends under one. Returns `(lsn, frame bytes)`.
+    /// The record is not durable until a subsequent fsync. Returns
+    /// `(lsn, frame bytes)`.
     ///
     /// # Errors
     /// [`ServerError::Durability`] on I/O failure. A failed `write_all`
@@ -568,79 +562,32 @@ impl Wal {
         self.next_lsn = lsn + 1;
         Ok((lsn, frame.len() as u64))
     }
-
-    /// Appends one record and makes it durable: frame write, fsync, LSN
-    /// assignment — with the `wal-after-append` / `wal-before-fsync` /
-    /// `wal-after-fsync` crash points between the steps. Returns the
-    /// record's LSN. (The applier path uses [`GroupWal`] instead, which
-    /// shares the fsync across a group.)
-    ///
-    /// # Errors
-    /// [`ServerError::Durability`] on I/O failure; the caller must then
-    /// fail the batch (nothing was acknowledged).
-    pub fn append_sync(&mut self, record: &mut WalRecord) -> Result<u64> {
-        let (lsn, _) = self.append(record)?;
-        fail_point("wal-before-fsync");
-        self.file.sync_data().map_err(|e| {
-            ServerError::Durability(format!("syncing WAL {}: {e}", self.path.display()))
-        })?;
-        fail_point("wal-after-fsync");
-        Ok(lsn)
-    }
 }
 
-// --- group commit ---------------------------------------------------------
-
-/// Group-commit tuning: how many frames one fsync may cover and how long
-/// a leader may hold the group open waiting for more appends.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCommitConfig {
-    /// Maximum frames a single fsync may cover. `1` degenerates to one
-    /// fsync per batch (the pre-group-commit behaviour).
-    pub max_group: usize,
-    /// How long an elected leader waits for the group to fill before
-    /// fsyncing what it has. `ZERO` (the default) syncs immediately —
-    /// grouping then comes purely from appends that arrived while the
-    /// previous fsync was in flight, which never delays a lone batch.
-    pub max_hold: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        Self {
-            max_group: 64,
-            max_hold: Duration::ZERO,
-        }
-    }
-}
+// --- the shared log ---------------------------------------------------------
 
 /// Cumulative durability counters, exposed through server stats and the
-/// loadgen JSON so group-commit amortisation is priced directly (mean
-/// group size = `frames / fsyncs`).
+/// wire protocol so fsync amortisation is priced directly (mean frames
+/// per fsync = `frames / fsyncs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// WAL fsyncs issued (group leaders + checkpoint rewrites excluded).
+    /// Round fsyncs issued (checkpoint rewrites excluded).
     pub fsyncs: u64,
     /// Delta frames appended.
     pub frames: u64,
     /// Bytes appended (frame headers included).
     pub bytes: u64,
-    /// Largest number of frames one fsync covered.
+    /// Most frames one fsync covered.
     pub max_group: u64,
     /// Checkpoint compactions completed.
     pub checkpoints: u64,
 }
 
 #[derive(Debug)]
-struct GroupState {
+struct LogState {
     wal: Wal,
-    /// Commit sequence numbers: count of frames appended through this
-    /// handle (1-based; independent of LSNs, which survive restarts).
-    appended_seq: u64,
-    /// Highest sequence known durable.
-    synced_seq: u64,
-    /// Whether a leader fsync is in flight.
-    syncing: bool,
+    /// Frames appended since the last fsync (or checkpoint rewrite).
+    unsynced: u64,
     /// Sticky failure: a failed append may have left a partial frame, a
     /// failed fsync an indeterminate prefix — nothing after either can
     /// be trusted durable, so the log refuses further work.
@@ -650,47 +597,38 @@ struct GroupState {
     bytes_since_checkpoint: u64,
 }
 
-/// The group-commit front of the WAL: shared appends, one fsync per
-/// group, checkpoint compaction. See the module docs.
+/// The shared front of the WAL: appends, one fsync per applier round,
+/// checkpoint compaction. See the module docs.
 #[derive(Debug)]
 pub struct GroupWal {
-    cfg: GroupCommitConfig,
-    state: Mutex<GroupState>,
-    cv: Condvar,
+    state: Mutex<LogState>,
 }
 
 impl GroupWal {
     /// Wraps an already-opened [`Wal`] (the recovery path opens and scans
     /// first, then hands the log over for serving).
-    pub fn new(wal: Wal, cfg: GroupCommitConfig) -> Self {
+    pub fn new(wal: Wal) -> Self {
         Self {
-            cfg: GroupCommitConfig {
-                max_group: cfg.max_group.max(1),
-                max_hold: cfg.max_hold,
-            },
-            state: Mutex::new(GroupState {
+            state: Mutex::new(LogState {
                 wal,
-                appended_seq: 0,
-                synced_seq: 0,
-                syncing: false,
+                unsynced: 0,
                 broken: None,
                 stats: WalStats::default(),
                 bytes_since_checkpoint: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
-    /// Opens (or creates) the log at `path` behind a group-commit front.
+    /// Opens (or creates) the log at `path`.
     ///
     /// # Errors
-    /// [`ServerError::Durability`] on I/O failure.
-    pub fn open(path: &Path, cfg: GroupCommitConfig) -> Result<(Self, WalScan)> {
+    /// As [`Wal::open`].
+    pub fn open(path: &Path) -> Result<(Self, WalScan)> {
         let (wal, scan) = Wal::open(path)?;
-        Ok((Self::new(wal, cfg), scan))
+        Ok((Self::new(wal), scan))
     }
 
-    fn lock(&self) -> MutexGuard<'_, GroupState> {
+    fn lock(&self) -> MutexGuard<'_, LogState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -704,10 +642,9 @@ impl GroupWal {
         self.lock().stats
     }
 
-    /// Appends one record without syncing, returning the commit sequence
-    /// number to pass to [`GroupWal::sync_through`]. The record's LSN is
-    /// assigned (and `record.lsn` set) under the same lock that orders
-    /// the frames, so LSN order equals file order.
+    /// Appends one record without syncing and returns its LSN (also set
+    /// in `record.lsn`). The LSN is assigned under the same lock that
+    /// orders the frames, so LSN order equals file order.
     ///
     /// # Errors
     /// [`ServerError::Durability`] on I/O failure or a previously broken
@@ -718,124 +655,58 @@ impl GroupWal {
             return Err(ServerError::Durability(broken.clone()));
         }
         match state.wal.append(record) {
-            Ok((_, bytes)) => {
-                state.appended_seq += 1;
+            Ok((lsn, bytes)) => {
+                state.unsynced += 1;
                 state.stats.frames += 1;
                 state.stats.bytes += bytes;
                 state.bytes_since_checkpoint += bytes;
-                Ok(state.appended_seq)
+                Ok(lsn)
             }
             Err(err) => {
                 state.broken = Some(err.to_string());
-                self.cv.notify_all();
                 Err(err)
             }
         }
     }
 
-    /// Blocks until every append up to `seq` is durable. The first
-    /// waiter that finds no fsync in flight becomes the *leader*: it
-    /// fsyncs once on behalf of everything appended so far (capped at
-    /// `max_group`, optionally holding `max_hold` for the group to
-    /// fill), then wakes the followers — which is what amortises the
-    /// fsync across the group while every ack still waits for *its* frame
-    /// to be durable.
+    /// Makes every frame appended so far durable with one fsync (crash
+    /// points `wal-before-fsync` / `wal-after-fsync` around it). A no-op
+    /// when nothing was appended since the last fsync or checkpoint.
     ///
     /// # Errors
     /// [`ServerError::Durability`] if the fsync failed or the log is
-    /// broken; the caller must fail the batch (it was never durable).
-    pub fn sync_through(&self, seq: u64) -> Result<()> {
+    /// broken; the caller must fail every batch the fsync was to cover
+    /// (none of them is durable).
+    pub fn sync(&self) -> Result<()> {
         let mut state = self.lock();
-        loop {
-            if let Some(broken) = &state.broken {
-                return Err(ServerError::Durability(broken.clone()));
-            }
-            if state.synced_seq >= seq {
-                return Ok(());
-            }
-            if state.syncing {
-                state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            // Leader election: fsync on behalf of the group.
-            if self.cfg.max_hold > Duration::ZERO {
-                let deadline = Instant::now() + self.cfg.max_hold;
-                while state.broken.is_none()
-                    && !state.syncing
-                    && state.appended_seq - state.synced_seq < self.cfg.max_group as u64
-                {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    state = self
-                        .cv
-                        .wait_timeout(state, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                if state.broken.is_some() || state.syncing || state.synced_seq >= seq {
-                    continue; // re-evaluate from the top
-                }
-            }
-            state.syncing = true;
-            let through = state
-                .appended_seq
-                .min(state.synced_seq + self.cfg.max_group as u64);
-            let group = through - state.synced_seq;
-            let file = state.wal.file.try_clone();
-            drop(state);
-
-            let outcome = match file {
-                Ok(file) => {
-                    fail_point("group-leader-sync");
-                    fail_point("wal-before-fsync");
-                    match file.sync_data() {
-                        Ok(()) => {
-                            fail_point("wal-after-fsync");
-                            Ok(())
-                        }
-                        Err(e) => Err(format!("syncing WAL: {e}")),
-                    }
-                }
-                Err(e) => Err(format!("cloning WAL handle for group fsync: {e}")),
-            };
-
-            state = self.lock();
-            state.syncing = false;
-            match outcome {
-                Ok(()) => {
-                    // A concurrent checkpoint may have advanced synced_seq
-                    // past `through` already; never move it backwards.
-                    state.synced_seq = state.synced_seq.max(through);
-                    state.stats.fsyncs += 1;
-                    state.stats.max_group = state.stats.max_group.max(group);
-                }
-                Err(message) => state.broken = Some(message),
-            }
-            self.cv.notify_all();
+        if state.unsynced == 0 {
+            return Ok(());
         }
-    }
-
-    /// Appends one record and waits for its group fsync — the
-    /// single-record convenience the non-chained paths use. Returns the
-    /// record's LSN.
-    ///
-    /// # Errors
-    /// As [`GroupWal::append`] / [`GroupWal::sync_through`].
-    pub fn append_sync(&self, record: &mut WalRecord) -> Result<u64> {
-        let seq = self.append(record)?;
-        self.sync_through(seq)?;
-        Ok(record.lsn)
+        if let Some(broken) = &state.broken {
+            return Err(ServerError::Durability(broken.clone()));
+        }
+        fail_point("wal-before-fsync");
+        if let Err(e) = state.wal.file.sync_data() {
+            let message = format!("syncing WAL {}: {e}", state.wal.path.display());
+            state.broken = Some(message.clone());
+            return Err(ServerError::Durability(message));
+        }
+        fail_point("wal-after-fsync");
+        state.stats.fsyncs += 1;
+        state.stats.max_group = state.stats.max_group.max(state.unsynced);
+        state.unsynced = 0;
+        Ok(())
     }
 
     /// Compacts the log if at least `threshold` bytes were appended since
-    /// the last checkpoint: rewrites every record at or past its
-    /// session's floor (unknown sessions keep everything) into a new log
-    /// headed by a checkpoint frame, fsyncs it, atomically renames it
-    /// over the old one, and resumes appending there. Returns whether a
-    /// checkpoint ran. Runs on the snapshot thread; appends and group
-    /// fsyncs are excluded for the duration by the log mutex.
+    /// the last checkpoint: asks `floors` for the per-session covered-LSN
+    /// floors — only then, so a checkpoint that is not due reads no
+    /// snapshot file — rewrites every record at or past its session's
+    /// floor (unknown sessions keep everything) into a new log headed by
+    /// a checkpoint frame, fsyncs it, atomically renames it over the old
+    /// one, and resumes appending there. Returns whether a checkpoint
+    /// ran. Runs on the snapshot thread; appends and round fsyncs are
+    /// excluded for the duration by the log mutex.
     ///
     /// Crash points: `checkpoint-mid-rewrite` (torn temp file, old log
     /// intact), `checkpoint-before-rename` (complete temp, old log
@@ -846,20 +717,17 @@ impl GroupWal {
     /// [`ServerError::Durability`] on I/O failure. Failures before the
     /// rename abandon the temp file and leave the log serving; failures
     /// after it break the log (the handle no longer matches the file).
-    pub fn checkpoint_if_due(&self, threshold: u64, floors: &[(String, u64)]) -> Result<bool> {
+    /// An error from `floors` abandons the checkpoint before any write.
+    pub fn checkpoint_if_due(
+        &self,
+        threshold: u64,
+        floors: impl FnOnce() -> Result<Vec<(String, u64)>>,
+    ) -> Result<bool> {
         let mut state = self.lock();
         if state.broken.is_some() || state.bytes_since_checkpoint < threshold {
             return Ok(false);
         }
-        // Let an in-flight leader finish: its cloned fd targets the file
-        // the rewrite is about to replace.
-        while state.syncing {
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-            if state.broken.is_some() {
-                return Ok(false);
-            }
-        }
-
+        let floors = floors()?;
         let path = state.wal.path.clone();
         // The mutex quiesces appends, so every frame in the file is
         // complete; unsynced frames are still visible (same page cache).
@@ -872,7 +740,7 @@ impl GroupWal {
         };
         let checkpoint = CheckpointRecord {
             next_lsn: state.wal.next_lsn,
-            floors: floors.to_vec(),
+            floors: floors.clone(),
         };
         let mut rewritten = Vec::new();
         push_frame(&mut rewritten, &encode_checkpoint(&checkpoint));
@@ -921,7 +789,6 @@ impl GroupWal {
         // any failure from here on breaks the log.
         let mut fatal = |message: String| -> ServerError {
             state.broken = Some(message.clone());
-            self.cv.notify_all();
             ServerError::Durability(message)
         };
         if let Err(err) = sync_parent_dir(&path) {
@@ -943,10 +810,9 @@ impl GroupWal {
         }
         // The rewrite was fully fsync'd before the rename, so everything
         // appended (synced or not) is now durable.
-        state.synced_seq = state.appended_seq;
+        state.unsynced = 0;
         state.bytes_since_checkpoint = 0;
         state.stats.checkpoints += 1;
-        self.cv.notify_all();
         Ok(true)
     }
 }
@@ -986,7 +852,6 @@ mod tests {
     fn record(lsn: u64, session: &str) -> WalRecord {
         WalRecord {
             lsn,
-            prev_lsn: None,
             session: session.to_string(),
             method: Method::Priu,
             removed_ids: vec![3, 5, 8],
@@ -1015,19 +880,15 @@ mod tests {
         assert!(scan.tail.is_none());
         for i in 0..5u64 {
             let mut r = record(999, &format!("s{}", i % 2));
-            if i > 2 {
-                r.prev_lsn = Some(i - 1);
-            }
-            let lsn = wal.append_sync(&mut r).unwrap();
+            let (lsn, _) = wal.append(&mut r).unwrap();
             assert_eq!(lsn, i); // LSN is assigned by the log, not the caller
+            assert_eq!(r.lsn, i);
         }
         drop(wal);
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 5);
         assert!(scan.tail.is_none());
         assert_eq!(scan.records[3].lsn, 3);
-        assert_eq!(scan.records[3].prev_lsn, Some(2));
-        assert_eq!(scan.records[2].prev_lsn, None);
         assert_eq!(scan.records[3].session, "s1");
         assert_eq!(scan.records[3].removed_ids, vec![3, 5, 8]);
         assert_eq!(scan.records[3].keep_last, Some(40));
@@ -1048,7 +909,7 @@ mod tests {
         let path = dir.join("deltas.wal");
         let (mut wal, _) = Wal::open(&path).unwrap();
         for _ in 0..3 {
-            wal.append_sync(&mut record(0, "s")).unwrap();
+            wal.append(&mut record(0, "s")).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -1089,7 +950,7 @@ mod tests {
         // Reopening truncates the corrupt tail and appends cleanly after.
         let (mut wal, _) = Wal::open(&path).unwrap();
         assert_eq!(wal.next_lsn(), 2);
-        wal.append_sync(&mut record(0, "s")).unwrap();
+        wal.append(&mut record(0, "s")).unwrap();
         drop(wal);
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 3);
@@ -1110,70 +971,82 @@ mod tests {
         assert!(matches!(scan.tail, Some(WalTail::OversizedFrame { .. })));
     }
 
+    /// A frame that passes its checksum but does not decode — here a
+    /// kind-0 delta frame of the older format behind a valid record — is
+    /// refused on open, and the file is left byte for byte as it was.
+    #[test]
+    fn crc_valid_undecodable_frame_refuses_to_open() {
+        let dir = tempdir("wal-bad-payload");
+        let path = dir.join("deltas.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(&mut record(0, "s")).unwrap();
+        drop(wal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        push_frame(&mut bytes, &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert!(matches!(scan.tail, Some(WalTail::BadPayload { .. })));
+        let err = Wal::open(&path).unwrap_err();
+        assert!(matches!(err, ServerError::Durability(_)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log was modified");
+    }
+
     #[test]
     fn group_commit_shares_fsyncs_and_acks_in_order() {
         let dir = tempdir("wal-group");
         let path = dir.join("deltas.wal");
-        let (wal, _) = GroupWal::open(&path, GroupCommitConfig::default()).unwrap();
+        let (wal, _) = GroupWal::open(&path).unwrap();
 
-        // A chain of appends, one sync for the lot: every record durable,
-        // one fsync counted, group size = chain length.
-        let mut last = 0;
+        // Nothing appended: syncing is free.
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 0);
+
+        // A round of appends, one sync for the lot: every record durable
+        // in LSN order, one fsync counted, group size = round size.
         for i in 0..6u64 {
-            let mut r = record(0, "s");
-            r.prev_lsn = (i > 0).then(|| i - 1);
-            last = wal.append(&mut r).unwrap();
+            let mut r = record(0, if i % 2 == 0 { "a" } else { "b" });
+            assert_eq!(wal.append(&mut r).unwrap(), i);
             assert_eq!(r.lsn, i);
         }
-        wal.sync_through(last).unwrap();
+        wal.sync().unwrap();
         let stats = wal.stats();
         assert_eq!(stats.frames, 6);
         assert_eq!(stats.fsyncs, 1);
         assert_eq!(stats.max_group, 6);
         assert!(stats.bytes > 0);
         let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.records.len(), 6);
+        let lsns: Vec<u64> = scan.records.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, (0..6).collect::<Vec<u64>>());
         assert!(scan.tail.is_none());
 
-        // Syncing an already-durable sequence is free.
-        wal.sync_through(last).unwrap();
+        // Syncing an already-durable log is free; the next round counts
+        // its own group.
+        wal.sync().unwrap();
         assert_eq!(wal.stats().fsyncs, 1);
-
-        // max_group = 1 degenerates to one fsync per frame.
-        let dir = tempdir("wal-group-1");
-        let path = dir.join("deltas.wal");
-        let cfg = GroupCommitConfig {
-            max_group: 1,
-            ..GroupCommitConfig::default()
-        };
-        let (wal, _) = GroupWal::open(&path, cfg).unwrap();
-        let mut last = 0;
-        for _ in 0..3 {
-            last = wal.append(&mut record(0, "s")).unwrap();
-        }
-        wal.sync_through(last).unwrap();
+        wal.append(&mut record(0, "a")).unwrap();
+        wal.sync().unwrap();
         let stats = wal.stats();
-        assert_eq!(stats.frames, 3);
-        assert_eq!(stats.fsyncs, 3, "a group of 1 per fsync");
-        assert_eq!(stats.max_group, 1);
+        assert_eq!((stats.fsyncs, stats.frames, stats.max_group), (2, 7, 6));
     }
 
     #[test]
     fn checkpoint_truncates_covered_records_and_preserves_lsns() {
         let dir = tempdir("wal-checkpoint");
         let path = dir.join("deltas.wal");
-        let (wal, _) = GroupWal::open(&path, GroupCommitConfig::default()).unwrap();
+        let (wal, _) = GroupWal::open(&path).unwrap();
         for i in 0..8u64 {
             let session = if i % 2 == 0 { "a" } else { "b" };
-            let seq = wal.append(&mut record(0, session)).unwrap();
-            wal.sync_through(seq).unwrap();
+            wal.append(&mut record(0, session)).unwrap();
+            wal.sync().unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
 
         // Floors: a's snapshots cover LSN < 6, b's cover LSN < 3; session
         // a keeps {6}, b keeps {3, 5, 7}.
         let floors = vec![("a".to_string(), 6), ("b".to_string(), 3)];
-        assert!(wal.checkpoint_if_due(1, &floors).unwrap());
+        assert!(wal.checkpoint_if_due(1, || Ok(floors.clone())).unwrap());
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(after < before, "compaction shrank the log");
 
@@ -1184,13 +1057,15 @@ mod tests {
         assert_eq!(checkpoint.next_lsn, 8);
         assert_eq!(checkpoint.floors, floors);
 
-        // Below-threshold appends don't re-checkpoint.
-        assert!(!wal.checkpoint_if_due(1 << 30, &floors).unwrap());
+        // Below-threshold appends don't re-checkpoint — and never ask for
+        // the floors.
+        let not_due = wal.checkpoint_if_due(1 << 30, || panic!("floors read when not due"));
+        assert!(!not_due.unwrap());
 
         // Appending continues the LSN sequence on the rewritten log.
         let mut r = record(0, "a");
-        let seq = wal.append(&mut r).unwrap();
-        wal.sync_through(seq).unwrap();
+        wal.append(&mut r).unwrap();
+        wal.sync().unwrap();
         assert_eq!(r.lsn, 8);
 
         // Reopening seeds the counter from the checkpoint chain even if
@@ -1204,12 +1079,16 @@ mod tests {
     fn checkpoint_of_a_fully_covered_log_keeps_only_the_marker() {
         let dir = tempdir("wal-checkpoint-empty");
         let path = dir.join("deltas.wal");
-        let (wal, _) = GroupWal::open(&path, GroupCommitConfig::default()).unwrap();
+        let (wal, _) = GroupWal::open(&path).unwrap();
         for _ in 0..4 {
-            let seq = wal.append(&mut record(0, "s")).unwrap();
-            wal.sync_through(seq).unwrap();
+            wal.append(&mut record(0, "s")).unwrap();
         }
-        assert!(wal.checkpoint_if_due(1, &[("s".to_string(), 4)]).unwrap());
+        // The rewrite is fsync'd, so it covers the unsynced frames too.
+        assert!(wal
+            .checkpoint_if_due(1, || Ok(vec![("s".to_string(), 4)]))
+            .unwrap());
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 0);
         let scan = scan_wal(&path).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.checkpoint.expect("marker").next_lsn, 4);

@@ -1,13 +1,17 @@
-//! Group commit + WAL checkpoint behavior under load.
+//! Round commit + WAL checkpoint behavior under load.
 //!
-//! Three contracts on top of the crash suite in `recovery.rs`:
+//! Four contracts on top of the crash suite in `recovery.rs`:
 //!
-//! 1. **Chained speculative resolution is invisible**: a durable server
-//!    applying a burst of uncoalesced batches as group-committed chains
-//!    lands bitwise on the state a non-durable server reaches applying
-//!    the same batches one by one — and a restart reproduces it again.
-//! 2. **Group commit amortizes fsyncs**: a burst of single-row deletes
-//!    shares fsyncs across WAL frames instead of paying one per batch.
+//! 1. **Rounds are invisible**: a durable server applying a burst of
+//!    uncoalesced batches in applier rounds lands bitwise on the state a
+//!    non-durable server reaches applying the same batches one by one —
+//!    and a restart reproduces it again. This holds even where a batch
+//!    changes the session's method inventory (a logistic successor drops
+//!    its PrIU-opt capture): each batch is resolved and decided against
+//!    the actual state its predecessor left.
+//! 2. **Rounds amortize fsyncs**: a burst of single-row deletes shares
+//!    fsyncs across WAL frames instead of paying one per batch, and the
+//!    batches of several sessions taken in one round share exactly one.
 //! 3. **Checkpoints bound the log**: with aggressive compaction the WAL
 //!    file plateaus while the cumulative appended byte count keeps
 //!    growing — the log never outlives its snapshot coverage.
@@ -18,9 +22,10 @@ use std::time::Duration;
 
 use priu_core::{DeletionEngine, Method, Session, SessionBuilder, TrainerConfig};
 use priu_data::catalog::Hyperparameters;
+use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_server::{
-    AddedRows, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig, Server,
+    AddedRows, Calibration, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig, Server,
     ServerConfig, WAL_FILE,
 };
 
@@ -107,10 +112,10 @@ fn added(rows: usize, salt: usize) -> AddedRows {
 }
 
 /// The burst script both servers in the bitwise test replay: single-row
-/// deletes, appended rows, a retention tick whose expiry must be
-/// speculated mid-chain, and deliberately stale deletes that become
-/// no-op links of a chain. Submitted without waiting, so on the durable
-/// server the backlog forms chains of speculatively resolved batches.
+/// deletes, appended rows, a retention tick whose expiry resolves
+/// mid-round, and deliberately stale deletes that become no-op batches.
+/// Submitted without waiting, so on the durable server the backlog is
+/// taken in rounds of several batches.
 fn submit_burst(server: &Server) -> Vec<DeleteTicket> {
     let mut tickets = Vec::new();
     for id in 0..40u64 {
@@ -123,7 +128,7 @@ fn submit_burst(server: &Server) -> Vec<DeleteTicket> {
     // 123 live rows + 2 appended, keep 100: expires the oldest ~25.
     tickets.push(server.tick(NAME, Some(added(2, 2)), 100).expect("tick"));
     // The tick's expiry retired the oldest surviving ids — these are
-    // stale by the time their chain link resolves.
+    // stale by the time their batch resolves.
     for id in 80..85u64 {
         tickets.push(server.delete(NAME, &[id]).expect("stale delete"));
     }
@@ -133,7 +138,7 @@ fn submit_burst(server: &Server) -> Vec<DeleteTicket> {
     tickets
 }
 
-/// Chains must be invisible: the group-committed durable run, the
+/// Rounds must be invisible: the round-committed durable run, the
 /// batch-at-a-time reference run, and a post-restart recovery all land
 /// on identical model bits and epochs.
 #[test]
@@ -156,8 +161,8 @@ fn chained_group_commit_matches_sequential_application_bitwise() {
         ticket.wait().expect("durable ack");
     }
     let (bits, epoch) = model_bits(&durable);
-    assert_eq!(epoch, want_epoch, "chains changed the commit count");
-    assert_eq!(bits, want_bits, "group-committed chains diverged bitwise");
+    assert_eq!(epoch, want_epoch, "rounds changed the commit count");
+    assert_eq!(bits, want_bits, "round-committed backlog diverged bitwise");
     let before = durable
         .model_snapshot(NAME)
         .expect("session")
@@ -169,7 +174,10 @@ fn chained_group_commit_matches_sequential_application_bitwise() {
         Server::start(config(false, Some(DurabilityConfig::new(&dir)))).expect("recovery");
     let (bits, epoch) = model_bits(&recovered);
     assert_eq!(epoch, want_epoch);
-    assert_eq!(bits, want_bits, "recovery of a chained log diverged");
+    assert_eq!(
+        bits, want_bits,
+        "recovery of a round-committed log diverged"
+    );
     assert_eq!(
         recovered
             .model_snapshot(NAME)
@@ -183,7 +191,7 @@ fn chained_group_commit_matches_sequential_application_bitwise() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Group commit's whole point: a burst of durable single-row deletes
+/// The round fsync's whole point: a burst of durable single-row deletes
 /// shares fsyncs, so the fsync count stays strictly below the frame
 /// count and at least one fsync covered a multi-frame group.
 #[test]
@@ -211,6 +219,142 @@ fn group_commit_amortizes_fsyncs_across_a_burst() {
         "no group ever held more than one frame"
     );
     server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+const LOGISTIC: &str = "ckpt/log";
+const BACKLOG: u64 = 12;
+
+/// A default-built binary logistic session: it carries the PrIU-opt
+/// capture, which its first successor drops.
+fn logistic_fixture() -> Session {
+    let data = generate_binary_classification(&ClassificationConfig {
+        num_samples: N,
+        num_features: 6,
+        separation: 3.0,
+        label_noise: 0.5,
+        seed: 0xC2,
+        ..Default::default()
+    });
+    let config = TrainerConfig::from_hyper(Hyperparameters {
+        batch_size: 25,
+        num_iterations: 60,
+        learning_rate: 0.3,
+        regularization: 0.02,
+    });
+    SessionBuilder::dense(data, config)
+        .seed(5)
+        .fit()
+        .expect("logistic fixture")
+}
+
+/// Uncoalesced, with PrIU priced above PrIU-opt, a retrain priced out of
+/// reach and drift never forcing one, so the cost model's choice is
+/// timing-independent: PrIU-opt while the session has its capture, PrIU
+/// after.
+fn logistic_config(durability: Option<DurabilityConfig>) -> ServerConfig {
+    ServerConfig {
+        scheduler: SchedulerConfig {
+            calibration: Calibration {
+                priu_row_seconds: 1.0,
+                retrain_sample_seconds: 1.0,
+                ..Calibration::default()
+            },
+            retrain_drift: 2.0,
+            ..SchedulerConfig::default()
+        },
+        ..config(false, durability)
+    }
+}
+
+fn logistic_bits(server: &Server) -> (Vec<u64>, u64) {
+    let (session, epoch) = server.model_snapshot(LOGISTIC).expect("session present");
+    let bits = session
+        .model()
+        .flatten()
+        .iter()
+        .map(|w| w.to_bits())
+        .collect();
+    (bits, epoch)
+}
+
+/// A backlog of single-row deletes on a logistic session that loses its
+/// PrIU-opt capture after the first one: every delete succeeds, and the
+/// result is bitwise the state reached by waiting on each delete before
+/// sending the next — live and after a restart.
+#[test]
+fn uncoalesced_logistic_backlog_matches_waiting_on_each_delete_bitwise() {
+    let reference = Server::start(logistic_config(None)).expect("reference server");
+    reference
+        .register_session(LOGISTIC, logistic_fixture())
+        .expect("register");
+    let mut want_methods = Vec::new();
+    for id in 0..BACKLOG {
+        let ticket = reference.delete(LOGISTIC, &[id]).expect("delete");
+        want_methods.push(ticket.wait().expect("reference ack").method);
+    }
+    assert_eq!(want_methods[0], Some(Method::PriuOpt));
+    assert!(want_methods[1..].iter().all(|&m| m == Some(Method::Priu)));
+    let want = logistic_bits(&reference);
+    reference.shutdown();
+
+    let dir = tempdir("logistic-backlog");
+    let durable =
+        Server::start(logistic_config(Some(DurabilityConfig::new(&dir)))).expect("durable server");
+    durable
+        .register_session(LOGISTIC, logistic_fixture())
+        .expect("register");
+    let tickets: Vec<DeleteTicket> = (0..BACKLOG)
+        .map(|id| durable.delete(LOGISTIC, &[id]).expect("delete"))
+        .collect();
+    let methods: Vec<Option<Method>> = tickets
+        .into_iter()
+        .enumerate()
+        .map(|(i, ticket)| {
+            let reply = ticket
+                .wait()
+                .unwrap_or_else(|e| panic!("backlogged delete {i} failed: {e}"));
+            assert_eq!(reply.applied, 1, "delete {i} removed nothing");
+            reply.method
+        })
+        .collect();
+    assert_eq!(methods, want_methods);
+    assert_eq!(logistic_bits(&durable), want, "backlog diverged bitwise");
+    durable.shutdown();
+
+    let recovered =
+        Server::start(logistic_config(Some(DurabilityConfig::new(&dir)))).expect("recovery");
+    assert_eq!(logistic_bits(&recovered), want, "recovery diverged bitwise");
+    recovered.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Batches of several sessions taken in one applier round share exactly
+/// one fsync. Nothing is ready before shutdown (an hour-long window, no
+/// flush), so the shutdown drain takes all three in one round.
+#[test]
+fn one_round_across_sessions_shares_exactly_one_fsync() {
+    let dir = tempdir("one-round");
+    let server =
+        Server::start(config(true, Some(DurabilityConfig::new(&dir)))).expect("durable server");
+    let names = ["round/a", "round/b", "round/c"];
+    let mut tickets = Vec::new();
+    for name in names {
+        server.register_session(name, fixture()).expect("register");
+        tickets.push(server.delete(name, &[1]).expect("delete"));
+        tickets.push(server.delete(name, &[2, 3]).expect("delete"));
+    }
+    server.shutdown();
+    for ticket in tickets {
+        ticket.wait().expect("ack");
+    }
+    let stats = server.durability_stats().expect("durable server has stats");
+    assert_eq!(stats.frames, 3, "one coalesced batch per session");
+    assert_eq!(stats.fsyncs, 1, "the round shared one fsync");
+    assert_eq!(stats.max_group, 3);
+    for name in names {
+        assert_eq!(server.model_snapshot(name).expect("session").1, 1);
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -43,8 +43,8 @@ use priu_data::catalog::Hyperparameters;
 use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_server::{
-    scan_wal, AddedRows, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig, Server,
-    ServerConfig, FAILPOINT_ENV, WAL_FILE,
+    crc32, scan_wal, AddedRows, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig,
+    Server, ServerConfig, ServerError, Wal, WalRecord, FAILPOINT_ENV, WAL_FILE,
 };
 
 const N: usize = 200;
@@ -134,19 +134,12 @@ fn config(durability: Option<DurabilityConfig>) -> ServerConfig {
     }
 }
 
-/// Durable config with the default group commit and checkpoint
-/// threshold, overridable through the same env vars the crash children
-/// inherit (`PRIU_CRASH_MAX_GROUP`, `PRIU_CRASH_CKPT_BYTES`) so a parent
-/// can steer the child's grouping and compaction without new plumbing.
+/// Durable config with the default checkpoint threshold, overridable
+/// through an env var the crash children inherit (`PRIU_CRASH_CKPT_BYTES`)
+/// so a parent can steer the child's compaction without new plumbing.
 fn durable(dir: &Path, snapshot_every: u64) -> ServerConfig {
     let mut durability = DurabilityConfig::new(dir);
     durability.snapshot_every = snapshot_every;
-    if let Some(max_group) = std::env::var("PRIU_CRASH_MAX_GROUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        durability.group.max_group = max_group;
-    }
     if let Some(bytes) = std::env::var("PRIU_CRASH_CKPT_BYTES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -425,21 +418,21 @@ fn crash_child() {
 /// Tentpole: kill the server at every commit-path and snapshot-path fail
 /// point mid-stream; recovery must land bitwise on the acked prefix.
 /// The `:N` suffixes spread the crashes across different waves and
-/// sessions (each wave applies two batches, one per session; snapshot
-/// writes 1–2 are the registration baselines).
+/// sessions (each wave applies two batches, one per session — in one
+/// applier round or two; snapshot writes 1–2 are the registration
+/// baselines).
 #[test]
 fn crash_at_every_fail_point_recovers_the_acked_prefix() {
     let points = [
-        "wal-after-append",         // wave 0, lin: record in page cache, not fsync'd
-        "wal-before-fsync:2",       // wave 0, log: record written, fsync pending
-        "wal-after-fsync:4",        // wave 1, log: durable but not applied
-        "apply-before-commit:5",    // wave 2, lin: applied but not committed
-        "before-ack:7",             // wave 3, lin: committed but never acked
-        "snapshot-mid-write:3",     // wave 1, lin: torn periodic snapshot tmp
+        "wal-after-append",         // wave 0: record in page cache, not fsync'd
+        "wal-before-fsync:2",       // record written, round fsync pending
+        "wal-after-fsync:4",        // round durable but not published
+        "apply-before-commit:5",    // wave 2: applied, no frame, not published
+        "before-ack:7",             // wave 3: published but never acked
+        "snapshot-mid-write:3",     // wave 1: torn periodic snapshot tmp
         "snapshot-before-rename:3", // complete tmp, never renamed
-        "snapshot-after-rename:4",  // wave 1, log: renamed, dir fsync pending
-        "group-leader-sync:3",      // wave 1, lin: elected leader, fsync pending
-        "snapshot-handoff:2",       // wave 1, log: committed, snapshot job never enqueued
+        "snapshot-after-rename:4",  // wave 1: renamed, dir fsync pending
+        "snapshot-handoff:2",       // wave 1: published, snapshot job never enqueued
     ];
     for point in points {
         let dir = tempdir(&format!("crash-{}", point.replace(':', "-")));
@@ -740,6 +733,88 @@ fn flipped_wal_byte_is_detected_and_the_prefix_recovered() {
     server.shutdown();
     // Reopen truncated the WAL back to its valid prefix.
     assert!(fs::metadata(&wal_path).expect("WAL exists").len() <= flip_at as u64);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A frame that passes its checksum but does not decode — a kind-0 delta
+/// frame as older servers wrote it, ahead of every acknowledged record —
+/// refuses startup with a typed error and leaves the WAL byte for byte
+/// as it was, instead of truncating the acknowledged records behind it.
+#[test]
+fn crc_valid_legacy_frame_refuses_start_and_leaves_the_wal_untouched() {
+    let dir = durable_run_baselines_only("legacy-frame");
+    let wal_path = dir.join(WAL_FILE);
+    // kind 0, lsn, no-antecedent flag, session name, method 0, no removed
+    // ids, no keep_last, no added rows.
+    let mut payload = vec![0u8];
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&(SPECS[0].name.len() as u32).to_le_bytes());
+    payload.extend_from_slice(SPECS[0].name.as_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&[0, 0]);
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&fs::read(&wal_path).expect("read WAL"));
+    fs::write(&wal_path, &bytes).expect("write WAL");
+
+    match Server::start(durable(&dir, 1_000_000)) {
+        Err(ServerError::Durability(message)) => {
+            assert!(message.contains("undecodable payload"), "{message}")
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("started on a log it cannot decode"),
+    }
+    assert_eq!(
+        fs::read(&wal_path).expect("read WAL"),
+        bytes,
+        "WAL modified"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid record that does not redo — it names a stable id the
+/// session never had — fails recovery with a typed error naming the
+/// record's LSN: every logged record was applied live, so this is a
+/// corrupt log, not a batch to skip.
+#[test]
+fn a_record_that_does_not_redo_fails_recovery_naming_its_lsn() {
+    let dir = durable_run_baselines_only("bad-redo");
+    let wal_path = dir.join(WAL_FILE);
+    let (mut wal, _) = Wal::open(&wal_path).expect("open WAL");
+    let mut record = WalRecord {
+        lsn: 0,
+        session: SPECS[0].name.to_string(),
+        method: Method::Priu,
+        removed_ids: vec![1 << 40],
+        keep_last: None,
+        added: None,
+    };
+    let (lsn, _) = wal.append(&mut record).expect("append");
+    drop(wal);
+    let bytes = fs::read(&wal_path).expect("read WAL");
+
+    match Server::start(durable(&dir, 1_000_000)) {
+        Err(ServerError::Redo {
+            session,
+            lsn: failed,
+            reason,
+        }) => {
+            assert_eq!(failed, lsn);
+            assert_eq!(session, SPECS[0].name);
+            assert!(reason.contains("stable id"), "{reason}");
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("recovery skipped a record that does not redo"),
+    }
+    assert_eq!(
+        fs::read(&wal_path).expect("read WAL"),
+        bytes,
+        "WAL modified"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
