@@ -644,6 +644,42 @@ fn bench_simd_grid(c: &mut Criterion) {
         }
     }
 
+    // The PrIU replay's per-iteration Gram application: packed symmetric
+    // symv (m(m+1)/2 values) against the dense m x m matvec it replaced, at
+    // the serve-session widths and the SGEMM (extended) width.
+    for m in [8usize, 32, 318] {
+        let rows = random_matrix(2 * m, m, 47);
+        let dense = rows.gram();
+        let packed = rows.weighted_gram_packed(None);
+        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut out = vec![0.0; m];
+        let shape = format!("m{m}");
+        for &(level, name) in &levels {
+            group.bench_function(
+                BenchmarkId::new(format!("gram_matvec_{name}"), &shape),
+                |b| {
+                    b.iter(|| {
+                        simd::with_level(level, || {
+                            par::with_threads(1, || {
+                                dense.matvec_into(black_box(&x), &mut out).unwrap()
+                            })
+                        })
+                    })
+                },
+            );
+            group.bench_function(
+                BenchmarkId::new(format!("packed_symv_{name}"), &shape),
+                |b| {
+                    b.iter(|| {
+                        simd::with_level(level, || {
+                            packed.symv_into(black_box(&x), &mut out).unwrap()
+                        })
+                    })
+                },
+            );
+        }
+    }
+
     // Sparse gather-dot / scatter at an RCV1-like shape.
     let (sn, sm, snnz) = (4000usize, 10_000usize, 50usize);
     let sp = random_csr(sn, sm, snnz, 43);

@@ -11,7 +11,7 @@
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::{GramFactor, TruncatedGram, TruncationMethod};
-use priu_linalg::{Matrix, Vector};
+use priu_linalg::{Matrix, PackedSymmetric, Vector};
 
 use crate::config::Compression;
 use crate::error::Result;
@@ -21,8 +21,9 @@ use crate::model::Model;
 /// the truncated `P Vᵀ` form of Eq. 14 / Eq. 20.
 #[derive(Debug, Clone)]
 pub enum GramCache {
-    /// The dense `m x m` matrix.
-    Dense(Matrix),
+    /// The dense symmetric `m x m` matrix, stored as its packed upper
+    /// triangle (`m(m+1)/2` values).
+    Dense(PackedSymmetric),
     /// The rank-`r` factorisation `P Vᵀ`.
     Truncated(TruncatedGram),
     /// A truncated base minus an exact low-rank deflation: the operator
@@ -51,9 +52,9 @@ impl GramCache {
     /// Propagates factorisation failures.
     pub fn build(rows: &Matrix, coefficients: &[f64], compression: Compression) -> Result<Self> {
         match compression.resolve(rows.ncols()) {
-            Compression::None | Compression::Auto => {
-                Ok(GramCache::Dense(rows.weighted_gram(Some(coefficients))))
-            }
+            Compression::None | Compression::Auto => Ok(GramCache::Dense(
+                rows.weighted_gram_packed(Some(coefficients)),
+            )),
             Compression::Exact { rank } => {
                 let factor = GramFactor::new(rows.clone(), coefficients.to_vec())?;
                 Ok(GramCache::Truncated(
@@ -76,8 +77,8 @@ impl GramCache {
         }
     }
 
-    /// Applies the cached operator to a parameter vector in `O(m²)` (dense)
-    /// or `O(r·m)` (truncated).
+    /// Applies the cached operator to a parameter vector: one pass over the
+    /// `m(m+1)/2` packed values (dense) or `O(r·m)` (truncated).
     ///
     /// # Errors
     /// Propagates shape mismatches.
@@ -104,7 +105,7 @@ impl GramCache {
         s1: &mut Vec<f64>,
     ) -> Result<()> {
         match self {
-            GramCache::Dense(g) => Ok(g.matvec_into(w, out)?),
+            GramCache::Dense(g) => Ok(g.symv_into(w, out)?),
             GramCache::Truncated(t) => Ok(t.apply_into(w, out, s0)?),
             GramCache::Deflated {
                 base,
@@ -149,7 +150,7 @@ impl GramCache {
     /// Number of `f64` values held by the cache (memory accounting, Q8).
     pub fn stored_values(&self) -> usize {
         match self {
-            GramCache::Dense(g) => g.nrows() * g.ncols(),
+            GramCache::Dense(g) => g.stored_values(),
             GramCache::Truncated(t) => t.stored_values(),
             GramCache::Deflated {
                 base,
@@ -161,7 +162,8 @@ impl GramCache {
 
     /// Subtracts the contributions `Σ_k c_k x_k x_kᵀ` of deleted samples from
     /// the cached operator — the deletion-propagation step of a chained
-    /// deletion. Dense caches are downdated in place (exactly); truncated
+    /// deletion. Dense caches take an exact packed rank-k downdate (the
+    /// removed rows' packed Gram is subtracted value by value); truncated
     /// caches keep the correction in factored form so later `apply` calls
     /// stay `O((r + k)·m)`.
     ///
@@ -176,7 +178,7 @@ impl GramCache {
         match self {
             GramCache::Dense(g) => {
                 let mut downdated = g.clone();
-                downdated.axpy(-1.0, &rows.weighted_gram(Some(&coefficients)))?;
+                downdated.axpy(-1.0, &rows.weighted_gram_packed(Some(&coefficients)))?;
                 Ok(GramCache::Dense(downdated))
             }
             GramCache::Truncated(t) => Ok(GramCache::Deflated {
@@ -389,7 +391,8 @@ mod tests {
         let expected = r.weighted_gram(Some(&coeffs)).matvec(&w).unwrap();
         let got = cache.apply(&w).unwrap();
         assert!((&got - &expected).norm2() < 1e-10);
-        assert_eq!(cache.stored_values(), 16);
+        // The packed upper triangle of a 4 x 4 Gram: 4·5/2 values.
+        assert_eq!(cache.stored_values(), 10);
     }
 
     #[test]
@@ -488,7 +491,7 @@ mod tests {
             ],
             opt: None,
         };
-        // 2 iterations × (16 gram values + 4 xy values) × 8 bytes.
-        assert_eq!(prov.provenance_bytes(), 2 * (16 + 4) * 8);
+        // 2 iterations × (10 packed gram values + 4 xy values) × 8 bytes.
+        assert_eq!(prov.provenance_bytes(), 2 * (10 + 4) * 8);
     }
 }

@@ -6,7 +6,8 @@ use priu_data::catalog::Hyperparameters;
 /// How per-iteration Gram-form intermediates are compressed (§5.1 / §5.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Compression {
-    /// Cache the dense `m x m` Gram matrices (no compression).
+    /// Cache the dense `m x m` Gram matrices (no compression), stored as
+    /// their packed upper triangles (`m(m+1)/2` values each).
     None,
     /// Exact truncated eigendecomposition via the `B x B` kernel matrix.
     Exact {

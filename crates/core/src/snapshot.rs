@@ -22,7 +22,7 @@ use priu_data::dataset::{DenseDataset, Labels, SparseDataset};
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::TruncatedGram;
-use priu_linalg::{CsrMatrix, Matrix, Vector};
+use priu_linalg::{CsrMatrix, Matrix, PackedSymmetric, Vector};
 
 use crate::baseline::closed_form::ClosedFormCapture;
 use crate::capture::{
@@ -520,9 +520,14 @@ pub fn get_schedule(r: &mut SnapshotReader<'_>, what: &str) -> Result<BatchSched
 
 // --- provenance caches ----------------------------------------------------
 
+/// Legacy dense Gram cache: a full `m × m` matrix. No longer written; it
+/// still decodes, packed to its upper triangle (exact, because the stored
+/// matrices are mirrored), and an asymmetric payload is refused.
 const GRAM_DENSE: u8 = 1;
 const GRAM_TRUNCATED: u8 = 2;
 const GRAM_DEFLATED: u8 = 3;
+/// Dense Gram cache as its packed upper triangle (`m(m+1)/2` values).
+const GRAM_PACKED: u8 = 4;
 
 fn put_truncated(w: &mut SnapshotWriter, t: &TruncatedGram) {
     put_matrix(w, t.p());
@@ -535,12 +540,32 @@ fn get_truncated(r: &mut SnapshotReader<'_>, what: &str) -> Result<TruncatedGram
     Ok(TruncatedGram::from_parts(p, v)?)
 }
 
+fn get_packed(r: &mut SnapshotReader<'_>, what: &str) -> Result<PackedSymmetric> {
+    let dim = r.usize(what)?;
+    let total = dim
+        .checked_add(1)
+        .and_then(|d| d.checked_mul(dim))
+        .map(|t| t / 2)
+        .ok_or_else(|| corrupt(what))?;
+    if total.checked_mul(8).ok_or_else(|| corrupt(what))? > r.remaining() {
+        return Err(corrupt(&format!("{what}: packed gram larger than payload")));
+    }
+    let mut data = Vec::with_capacity(total);
+    for _ in 0..total {
+        data.push(r.f64(what)?);
+    }
+    Ok(PackedSymmetric::from_packed(dim, data)?)
+}
+
 /// Encodes a Gram-form cache.
 pub fn put_gram_cache(w: &mut SnapshotWriter, g: &GramCache) {
     match g {
-        GramCache::Dense(m) => {
-            w.u8(GRAM_DENSE);
-            put_matrix(w, m);
+        GramCache::Dense(g) => {
+            w.u8(GRAM_PACKED);
+            w.usize(g.dim());
+            for &x in g.as_slice() {
+                w.f64(x);
+            }
         }
         GramCache::Truncated(t) => {
             w.u8(GRAM_TRUNCATED);
@@ -565,7 +590,13 @@ pub fn put_gram_cache(w: &mut SnapshotWriter, g: &GramCache) {
 /// Decodes a Gram-form cache.
 pub fn get_gram_cache(r: &mut SnapshotReader<'_>, what: &str) -> Result<GramCache> {
     match r.u8(what)? {
-        GRAM_DENSE => Ok(GramCache::Dense(get_matrix(r, what)?)),
+        GRAM_PACKED => Ok(GramCache::Dense(get_packed(r, what)?)),
+        GRAM_DENSE => {
+            let full = get_matrix(r, what)?;
+            let packed = PackedSymmetric::from_symmetric(&full)
+                .map_err(|e| corrupt(&format!("{what}: legacy dense gram cache: {e}")))?;
+            Ok(GramCache::Dense(packed))
+        }
         GRAM_TRUNCATED => Ok(GramCache::Truncated(get_truncated(r, what)?)),
         GRAM_DEFLATED => {
             let base = get_truncated(r, what)?;
@@ -848,15 +879,122 @@ mod tests {
         assert!(get_labels(&mut r, "labels").is_err());
     }
 
+    fn gram_bytes(g: &GramCache) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        put_gram_cache(&mut w, g);
+        w.into_bytes()
+    }
+
+    fn decode_gram(bytes: &[u8]) -> Result<GramCache> {
+        let mut r = SnapshotReader::new(bytes);
+        let g = get_gram_cache(&mut r, "gram")?;
+        r.finish()?;
+        Ok(g)
+    }
+
+    fn sample_rows() -> Matrix {
+        Matrix::from_fn(7, 5, |i, j| ((i * 3 + j * 5) % 7) as f64 * 0.37 - 1.1)
+    }
+
+    #[test]
+    fn packed_gram_cache_round_trips_bitwise() {
+        let rows = sample_rows();
+        let cache = GramCache::build(&rows, &[0.5; 7], Compression::None).unwrap();
+        let bytes = gram_bytes(&cache);
+        assert_eq!(bytes[0], GRAM_PACKED);
+        // Tag, dimension, then the m(m+1)/2 packed values.
+        assert_eq!(bytes.len(), 1 + 8 + 15 * 8);
+        let back = decode_gram(&bytes).unwrap();
+        assert!(matches!(back, GramCache::Dense(_)));
+        assert_eq!(gram_bytes(&back), bytes);
+        // Every truncation is a typed error.
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                decode_gram(&bytes[..cut]),
+                Err(CoreError::Snapshot(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn legacy_dense_gram_payload_decodes_to_the_packed_cache() {
+        // The pre-packing encoding: GRAM_DENSE + the full mirrored matrix.
+        let rows = sample_rows();
+        let coefficients = [1.0, -0.5, 2.0, 0.25, 1.5, -1.0, 0.75];
+        let full = rows.weighted_gram(Some(&coefficients));
+        let mut w = SnapshotWriter::new();
+        w.u8(GRAM_DENSE);
+        put_matrix(&mut w, &full);
+        let legacy = w.into_bytes();
+
+        let cache = GramCache::build(&rows, &coefficients, Compression::None).unwrap();
+        let decoded = decode_gram(&legacy).unwrap();
+        assert_eq!(gram_bytes(&decoded), gram_bytes(&cache));
+
+        // An asymmetric legacy matrix cannot be packed without loss: refused.
+        let mut skewed = full.clone();
+        skewed[(4, 1)] += 1e-9;
+        let mut w = SnapshotWriter::new();
+        w.u8(GRAM_DENSE);
+        put_matrix(&mut w, &skewed);
+        let err = decode_gram(&w.into_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Snapshot(msg) if msg.contains("not exactly symmetric")),
+            "{err:?}"
+        );
+        // So is a non-square one.
+        let mut w = SnapshotWriter::new();
+        w.u8(GRAM_DENSE);
+        put_matrix(&mut w, &Matrix::zeros(2, 3));
+        assert!(matches!(
+            decode_gram(&w.into_bytes()),
+            Err(CoreError::Snapshot(_))
+        ));
+    }
+
+    #[test]
+    fn packed_gram_with_a_lying_dimension_is_refused_before_allocating() {
+        let mut w = SnapshotWriter::new();
+        w.u8(GRAM_PACKED);
+        w.u64(u64::MAX);
+        assert!(matches!(
+            decode_gram(&w.into_bytes()),
+            Err(CoreError::Snapshot(_))
+        ));
+        let mut w = SnapshotWriter::new();
+        w.u8(GRAM_PACKED);
+        w.u64(1 << 20);
+        assert!(matches!(
+            decode_gram(&w.into_bytes()),
+            Err(CoreError::Snapshot(_))
+        ));
+    }
+
     #[test]
     fn schedule_round_trips_with_and_without_explicit_batches() {
+        let tabled = BatchSchedule::new(10, 4, 6, 42);
+        tabled.fill_table();
         for schedule in [
             BatchSchedule::new(10, 4, 6, 42),
             BatchSchedule::new(10, 4, 6, 42).restrict(&[1, 5]),
+            tabled,
         ] {
             let mut w = SnapshotWriter::new();
             put_schedule(&mut w, &schedule);
             let bytes = w.into_bytes();
+            // The batch table is a cache of (seed, t): never encoded.
+            let mut plain = SnapshotWriter::new();
+            put_schedule(
+                &mut plain,
+                &BatchSchedule::from_parts(
+                    schedule.num_samples(),
+                    schedule.batch_size(),
+                    schedule.num_iterations(),
+                    schedule.seed(),
+                    schedule.explicit_batches().map(<[Vec<usize>]>::to_vec),
+                ),
+            );
+            assert_eq!(bytes, plain.into_bytes());
             let mut r = SnapshotReader::new(&bytes);
             let back = get_schedule(&mut r, "schedule").unwrap();
             r.finish().unwrap();

@@ -135,6 +135,8 @@ pub fn train_sparse_binary_logistic_with(
     let m = dataset.num_features();
     let hyper = &config.hyper;
     let schedule = BatchSchedule::new(n, hyper.batch_size, hyper.num_iterations, config.seed);
+    // Derive every batch once: this fit and every later replay copy them.
+    schedule.fill_table();
     let eta = hyper.learning_rate;
     let lambda = hyper.regularization;
     let interp = &config.interpolation;

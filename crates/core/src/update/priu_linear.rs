@@ -11,10 +11,12 @@
 //!
 //! where `ΔX_t` / `Δh_t` are built from the removed samples that fall in
 //! batch `t`. The associativity trick of §5.1 keeps everything matrix-vector:
-//! the cost per iteration is `O(r·m + ΔB·m)` instead of the `O(B·m)` of
-//! retraining.
+//! per iteration the update reads the cache once — `m(m+1)/2` packed values
+//! for a dense `G_t`, `2·r·m` for a truncated one — plus `O(ΔB·m)` for the
+//! removed samples, instead of the `O(B·m)` of retraining.
 
 use priu_data::dataset::{DenseDataset, Labels};
+use priu_linalg::{axpy_slices, simd};
 
 use crate::capture::LinearProvenance;
 use crate::error::{CoreError, Result};
@@ -92,15 +94,13 @@ pub fn priu_update_linear_with(
         // Cached full-batch contribution.
         cache.gram.apply_into(&w, gw, g0, g1)?;
 
-        // Removed contribution, assembled on the fly from the raw samples.
+        // Removed contribution, assembled on the fly from the raw samples
+        // through the dispatched microkernels.
         for &pos in positions.iter() {
             let i = batch[pos];
             let row = dataset.x.row(i);
-            let dot: f64 = row.iter().zip(w.iter()).map(|(a, b)| a * b).sum();
-            for (j, &v) in row.iter().enumerate() {
-                delta_gw[j] += v * dot;
-                delta_xy[j] += v * y[i];
-            }
+            axpy_slices(delta_gw, simd::dot(row, &w), row);
+            axpy_slices(delta_xy, y[i], row);
         }
 
         // In-place: every right-hand side was computed from the old `w`.

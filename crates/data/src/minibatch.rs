@@ -5,12 +5,23 @@
 //! removed samples excluded (Eq. 8/13/19). [`BatchSchedule`] therefore derives
 //! batch `t` purely from `(seed, t)`, so the training phase, the BaseL
 //! retraining baseline and the incremental update all observe identical batch
-//! composition without storing `τ · B` indices.
+//! composition.
+//!
+//! Deriving a batch runs the RNG, and every replay walks all `τ` batches, so
+//! a seed-derived schedule can also materialise its batches once into a flat
+//! `u32` index table ([`BatchSchedule::fill_table`], called by the trainers
+//! at the start of a fit). The table is shared by every clone of the
+//! schedule through an `Arc`, holds exactly the derived indices, and is
+//! neither encoded in snapshots nor part of equality: it is a cache of
+//! `(seed, t)`, not state.
+
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::rng::seeded_rng;
 
 /// A deterministic mini-batch schedule over `n` samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct BatchSchedule {
     num_samples: usize,
     batch_size: usize,
@@ -21,6 +32,36 @@ pub struct BatchSchedule {
     /// batches live in a re-indexed (survivor) sample space and therefore
     /// cannot be re-derived from `(seed, t)`.
     explicit: Option<Vec<Vec<usize>>>,
+    /// The seed-derived batches, `batch_size` indices per iteration in
+    /// iteration order, once [`BatchSchedule::fill_table`] has run.
+    table: Arc<OnceLock<Box<[u32]>>>,
+}
+
+/// Equality covers what defines the batches; the derived table is a cache
+/// and is ignored.
+impl PartialEq for BatchSchedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_samples == other.num_samples
+            && self.batch_size == other.batch_size
+            && self.num_iterations == other.num_iterations
+            && self.seed == other.seed
+            && self.explicit == other.explicit
+    }
+}
+
+impl Eq for BatchSchedule {}
+
+impl fmt::Debug for BatchSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BatchSchedule")
+            .field("num_samples", &self.num_samples)
+            .field("batch_size", &self.batch_size)
+            .field("num_iterations", &self.num_iterations)
+            .field("seed", &self.seed)
+            .field("explicit", &self.explicit)
+            .field("table_filled", &self.table_filled())
+            .finish()
+    }
 }
 
 impl BatchSchedule {
@@ -37,6 +78,7 @@ impl BatchSchedule {
             num_iterations,
             seed,
             explicit: None,
+            table: Arc::default(),
         }
     }
 
@@ -100,7 +142,41 @@ impl BatchSchedule {
             num_iterations,
             seed,
             explicit,
+            table: Arc::default(),
         }
+    }
+
+    /// Derives every batch once into the index table that
+    /// [`BatchSchedule::batch_into`] then copies from, shared with every
+    /// clone of this schedule. The table holds exactly the indices the
+    /// `(seed, t)` derivation produces. A no-op when the table is already
+    /// filled, for explicit and full-batch schedules (which derive nothing),
+    /// and when a sample index or the table length would not fit.
+    pub fn fill_table(&self) {
+        if self.explicit.is_some() || self.is_full_batch() {
+            return;
+        }
+        let Some(len) = self.num_iterations.checked_mul(self.batch_size) else {
+            return;
+        };
+        if u32::try_from(self.num_samples).is_err() {
+            return;
+        }
+        self.table.get_or_init(|| {
+            let mut table = Vec::with_capacity(len);
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            for t in 0..self.num_iterations {
+                self.derive_into(t, &mut out, &mut scratch);
+                // Every index is below num_samples, which fits u32.
+                table.extend(out.iter().map(|&i| i as u32));
+            }
+            table.into_boxed_slice()
+        });
+    }
+
+    /// Whether [`BatchSchedule::fill_table`] has materialised the batches.
+    fn table_filled(&self) -> bool {
+        self.table.get().is_some()
     }
 
     /// The sample indices of mini-batch `t`, drawn without replacement.
@@ -133,6 +209,17 @@ impl BatchSchedule {
             out.extend_from_slice(&batches[t]);
             return;
         }
+        if let Some(table) = self.table.get() {
+            let b = self.batch_size;
+            out.extend(table[t * b..(t + 1) * b].iter().map(|&i| i as usize));
+            return;
+        }
+        self.derive_into(t, out, scratch);
+    }
+
+    /// The `(seed, t)` derivation behind seed-derived batches.
+    fn derive_into(&self, t: usize, out: &mut Vec<usize>, scratch: &mut Vec<usize>) {
+        out.clear();
         if self.is_full_batch() {
             out.extend(0..self.num_samples);
             return;
@@ -219,6 +306,7 @@ impl BatchSchedule {
             num_iterations: self.num_iterations,
             seed: self.seed,
             explicit: Some(batches),
+            table: Arc::default(),
         }
     }
 
@@ -252,6 +340,7 @@ impl BatchSchedule {
             num_iterations,
             seed: self.seed,
             explicit: Some(batches),
+            table: Arc::default(),
         }
     }
 }
@@ -277,6 +366,60 @@ mod tests {
         // Different seeds give different batches.
         let s2 = BatchSchedule::new(100, 10, 50, 8);
         assert_ne!(s.batch(3), s2.batch(3));
+    }
+
+    #[test]
+    fn table_holds_exactly_the_seed_derived_batches() {
+        // n not a multiple of B, both RNG draw branches (sparse Floyd for
+        // 4·B < n, dense shuffle otherwise), and a full-batch schedule.
+        for (n, b, iters, seed) in [
+            (103, 10, 40, 7),
+            (37, 16, 25, 3),
+            (9, 9, 4, 1),
+            (50, 1, 6, 2),
+        ] {
+            let derived = BatchSchedule::new(n, b, iters, seed);
+            let tabled = derived.clone();
+            tabled.fill_table();
+            assert_eq!(tabled.table_filled(), !tabled.is_full_batch());
+            // Clones share the table.
+            assert_eq!(derived.table_filled(), tabled.table_filled());
+            let fresh = BatchSchedule::new(n, b, iters, seed);
+            assert!(!fresh.table_filled());
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            for t in 0..iters {
+                tabled.batch_into(t, &mut out, &mut scratch);
+                assert_eq!(out, fresh.batch(t), "n={n} b={b} t={t}");
+            }
+            // Restricted and extended schedules built from a tabled
+            // schedule carry the same batches as ones built without it.
+            let removed = [0, n / 2];
+            assert_eq!(tabled.restrict(&removed), fresh.restrict(&removed));
+            for t in 0..iters {
+                assert_eq!(
+                    tabled.restrict(&removed).batch(t),
+                    fresh.restrict(&removed).batch(t)
+                );
+            }
+            let grown = tabled.extend_with(vec![vec![n]], 1);
+            assert_eq!(grown, fresh.extend_with(vec![vec![n]], 1));
+            assert_eq!(grown.batch(iters), vec![n]);
+        }
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_table_is_filled() {
+        let filled = BatchSchedule::new(100, 10, 5, 9);
+        filled.fill_table();
+        let unfilled = BatchSchedule::new(100, 10, 5, 9);
+        assert!(filled.table_filled() && !unfilled.table_filled());
+        assert_eq!(filled, unfilled);
+        assert_ne!(filled, BatchSchedule::new(100, 10, 5, 10));
+        // Rebuilding from parts (the snapshot path) yields an equal,
+        // unfilled schedule.
+        let rebuilt = BatchSchedule::from_parts(100, 10, 5, 9, None);
+        assert!(!rebuilt.table_filled());
+        assert_eq!(rebuilt, filled);
     }
 
     #[test]

@@ -362,6 +362,20 @@ pub(crate) fn tql2_into(
         return Ok(());
     }
     debug_assert_eq!(e.len(), n, "e carries one padding slot for the sweep");
+    // EISPACK's deflation test: a coupling is negligible when adding it to
+    // the norm `tst1 = max_l (|d_l| + |e_l|)` changes nothing. The test is
+    // relative to the matrix scale, so couplings inside a cluster of
+    // (near-)zero eigenvalues deflate too, where a test relative to the
+    // neighbouring diagonal entries never passes. EISPACK grows `tst1` as a
+    // running maximum over the rows reached so far; taking the maximum over
+    // every row up front keeps the test at the matrix scale also when the
+    // small entries come first (a running maximum would still sit below
+    // the rounding noise the large entries leave in the couplings).
+    let mut tst1 = 0.0_f64;
+    for l in 0..n {
+        let coupling = if l + 1 < n { e[l].abs() } else { 0.0 };
+        tst1 = tst1.max(d[l].abs() + coupling);
+    }
     for l in 0..n {
         let mut iters = 0;
         loop {
@@ -369,8 +383,7 @@ pub(crate) fn tql2_into(
             // l..=mm is what the sweep rotates.
             let mut mm = l;
             while mm + 1 < n {
-                let dd = d[mm].abs() + d[mm + 1].abs();
-                if e[mm].abs() <= f64::EPSILON * dd {
+                if e[mm].abs() + tst1 == tst1 {
                     break;
                 }
                 mm += 1;

@@ -14,6 +14,7 @@
 
 use std::ops::{Add, Index, IndexMut, Mul, Range, Sub};
 
+use crate::dense::packed::{packed_len, packed_row_offset, PackedSymmetric};
 use crate::dense::vector::{axpy_slices, dot_slices, Vector};
 use crate::error::{LinalgError, Result};
 use crate::par::{self, Chunks};
@@ -507,7 +508,7 @@ impl Matrix {
         // Chunk-ordered reduction over m*m upper-triangle partials (the
         // strictly lower triangles stay zero until mirrored below).
         par::reduce_chunks(&chunks, m * m, &mut out.data, |range, partial| {
-            weighted_gram_rows(self, range, w, partial)
+            weighted_gram_rows(self, range, w, partial, |p| p * m + p)
         });
         // Mirror upper triangle to lower triangle.
         for a in 0..m {
@@ -515,6 +516,43 @@ impl Matrix {
                 out.data[b * m + a] = out.data[a * m + b];
             }
         }
+    }
+
+    /// Weighted Gram matrix `self^T * diag(w) * self` in packed symmetric
+    /// form (see [`PackedSymmetric`]).
+    ///
+    /// # Panics
+    /// Panics if `w` is provided with a length different from `nrows()`.
+    pub fn weighted_gram_packed(&self, w: Option<&[f64]>) -> PackedSymmetric {
+        let mut out = PackedSymmetric::default();
+        self.weighted_gram_packed_into(w, &mut out);
+        out
+    }
+
+    /// Packed weighted Gram matrix into a caller-owned buffer, reshaped to
+    /// `ncols x ncols` reusing its allocation. Accumulates exactly the
+    /// upper-triangle values of [`Matrix::weighted_gram_into`], in the same
+    /// order and with the same chunk-ordered reduction, so the packed values
+    /// are bitwise equal to that matrix's upper triangle for any thread
+    /// count.
+    ///
+    /// # Panics
+    /// Panics if `w` is provided with a length different from `nrows()`.
+    pub fn weighted_gram_packed_into(&self, w: Option<&[f64]>, out: &mut PackedSymmetric) {
+        if let Some(w) = w {
+            assert_eq!(w.len(), self.rows, "weight length must equal row count");
+        }
+        let m = self.cols;
+        out.reshape_zeroed(m);
+        let chunks = Chunks::new(self.rows, MIN_CHUNK_ROWS, GRAM_MAX_CHUNKS);
+        par::reduce_chunks(
+            &chunks,
+            packed_len(m),
+            out.as_mut_slice(),
+            |range, partial| {
+                weighted_gram_rows(self, range, w, partial, |p| packed_row_offset(m, p))
+            },
+        );
     }
 
     /// Rank-one update `self += alpha * x * x^T`.
@@ -623,9 +661,18 @@ fn matmul_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, out_block: &mut [f64]
     }
 }
 
-/// Accumulates the upper triangle of `Σ_{i ∈ rows} w_i x_i x_iᵀ` into the
-/// row-major `m x m` buffer `out` (not cleared, lower triangle untouched).
-fn weighted_gram_rows(a: &Matrix, rows: Range<usize>, w: Option<&[f64]>, out: &mut [f64]) {
+/// Accumulates the upper triangle of `Σ_{i ∈ rows} w_i x_i x_iᵀ` into
+/// `out` (not cleared), where the entries `(p, p..m)` of row `p` start at
+/// `out[row_start(p)]` — `p·m + p` in a row-major `m x m` buffer (lower
+/// triangle untouched), the packed row offset in packed storage. Both
+/// layouts run the same axpy sequence, so their values are bitwise equal.
+fn weighted_gram_rows(
+    a: &Matrix,
+    rows: Range<usize>,
+    w: Option<&[f64]>,
+    out: &mut [f64],
+    row_start: impl Fn(usize) -> usize,
+) {
     let m = a.cols;
     for i in rows {
         let wi = w.map_or(1.0, |w| w[i]);
@@ -638,7 +685,8 @@ fn weighted_gram_rows(a: &Matrix, rows: Range<usize>, w: Option<&[f64]>, out: &m
             if vp == 0.0 {
                 continue;
             }
-            axpy_slices(&mut out[p * m + p..(p + 1) * m], vp, &row[p..]);
+            let start = row_start(p);
+            axpy_slices(&mut out[start..start + (m - p)], vp, &row[p..]);
         }
     }
 }

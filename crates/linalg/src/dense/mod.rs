@@ -3,7 +3,9 @@
 pub mod decomposition;
 pub mod matrix;
 pub mod ops;
+pub mod packed;
 pub mod vector;
 
 pub use matrix::Matrix;
+pub use packed::PackedSymmetric;
 pub use vector::{axpy_slices, scale_add_slices, Vector};

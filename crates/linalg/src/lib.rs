@@ -10,6 +10,9 @@
 //!
 //! * [`Matrix`] / [`Vector`] — dense row-major storage with BLAS-like
 //!   kernels (`gemv`, `gemm`, rank-k Gram updates, outer products, norms).
+//! * [`PackedSymmetric`] — a symmetric matrix stored as its packed upper
+//!   triangle (`m(m+1)/2` values) with a symmetric matvec; the storage of
+//!   PrIU's dense Gram caches.
 //! * [`sparse::CsrMatrix`] — compressed sparse rows with `spmv` /
 //!   `transpose_spmv`, used for the RCV1-style sparse workloads (§5.3).
 //! * [`decomposition`] — Cholesky, LU (partial pivoting), Householder QR,
@@ -53,6 +56,7 @@ pub mod decomposition {
 }
 
 pub use dense::matrix::Matrix;
+pub use dense::packed::PackedSymmetric;
 pub use dense::vector::{axpy_slices, scale_add_slices, Vector};
 pub use error::{LinalgError, Result};
 pub use sparse::csr::CsrMatrix;

@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD microkernels with bitwise scalar parity.
 //!
 //! Every hot inner loop of the dense and sparse kernels — dot products,
-//! 4-row fused matvec dots, `axpy`, the fused GD step `scale_add`, the QR
-//! reflector update, the Jacobi rotation pass, and the CSR gather/scatter
-//! loops — funnels through this module. Each microkernel has two
-//! implementations selected once per call:
+//! 4-row fused matvec dots, the packed symmetric matvec, `axpy`, the fused
+//! GD step `scale_add`, the QR reflector update, the Jacobi rotation pass,
+//! and the CSR gather/scatter loops — funnels through this module. Each
+//! microkernel has two implementations selected once per call:
 //!
 //! * **portable** — plain Rust with the historical lane structure (4-wide
 //!   accumulators, mul-then-add rounding). This is the only path on
@@ -305,6 +305,169 @@ fn dot4_portable(r0: &[f64], r1: &[f64], r2: &[f64], r3: &[f64], x: &[f64]) -> [
     out
 }
 
+/// Packed symmetric matrix-vector product `y = A x`, where `ap` holds the
+/// upper triangle of the `m × m` matrix `A` row by row (row `i` is
+/// `a[i][i..]`) and `m = x.len() = y.len()`; `y` is overwritten.
+///
+/// Rows are processed in full blocks of four, `i0..i0+4`. Every stored
+/// value `a[r][j]` is loaded once and feeds two products: row `r`'s dot
+/// with `x[j]` and, mirrored, `y[j] += a[r][j]·x[r]`. Per block, with
+/// [`madd`]'s level-dependent rounding in every multiply-add:
+///
+/// 1. *Row dots.* Row `r`'s dot runs over columns `i0..m` on [`dot`]'s
+///    canonical lanes, lane `l` taking the columns `j ≡ i0 + l (mod 4)`:
+///    the first chunk is the 4 × 4 diagonal corner, with the entries below
+///    the diagonal (`j < r`) taken as zero, then the columns right of the
+///    block chunk by chunk; lanes combine `((l0 + l1) + l2) + l3`, then the
+///    remaining `(m − i0) mod 4` columns add sequentially.
+/// 2. *Mirrored tail.* For each column `j ≥ i0 + 4`, `y[j]` absorbs the
+///    block's four rows in ascending order, `y[j] ← madd(y[j], a[r][j],
+///    x[r])`, so `y` is read and written once per block.
+/// 3. *Mirrored corner.* For `c = 0..4`: `y[i0+c] ← madd(y[i0+c], u, x[r])`
+///    for rows `r = 0, 1, 2` of the block, with `u = a[r][i0+c]` when
+///    `i0 + c > r` and `u = 0` otherwise; then `y[i0+c] += dot_{i0+c}`.
+///
+/// The last `m mod 4` rows, if any, run scalar: for each row `r`
+/// ascending, `s ← madd(s, a[r][c], x[c])` for `c = r..m` from `s = 0`,
+/// then `y[c] ← madd(y[c], a[r][c], x[r])` for `c > r`, then `y[r] += s`.
+///
+/// The kernel never splits across threads, so its bits are a function of
+/// the SIMD level alone.
+///
+/// # Panics
+/// Panics if `y.len() != x.len()` or `ap.len() != m·(m+1)/2`.
+pub fn symv_packed(ap: &[f64], x: &[f64], y: &mut [f64]) {
+    let m = x.len();
+    assert!(
+        y.len() == m && ap.len() == crate::dense::packed::packed_len(m),
+        "simd::symv_packed requires m(m+1)/2 packed values and x, y of length m"
+    );
+    match current_level() {
+        SimdLevel::Portable => symv_packed_portable(ap, x, y),
+        SimdLevel::Avx2 => {
+            // SAFETY: see `dot`; the lengths were checked above.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx2::symv_packed(ap, x, y)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
+        }
+    }
+}
+
+/// Packed offsets of the four rows of the full block starting at row `i0`
+/// of an `m × m` matrix, given the first row's offset `off`; the fifth
+/// entry is the offset of the row after the block.
+#[inline]
+fn symv_block_offsets(m: usize, i0: usize, off: usize) -> [usize; 5] {
+    let w = m - i0;
+    [
+        off,
+        off + w,
+        off + 2 * w - 1,
+        off + 3 * w - 3,
+        off + 4 * w - 6,
+    ]
+}
+
+/// The last `m mod 4` rows of [`symv_packed`], starting at row `i0` whose
+/// packed offset is `off` (shared by both levels; `madd_op` is the level's
+/// multiply-add).
+#[inline(always)]
+fn symv_short_block(
+    ap: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    i0: usize,
+    mut off: usize,
+    madd_op: impl Fn(f64, f64, f64) -> f64,
+) {
+    let m = x.len();
+    for r in i0..m {
+        let row = &ap[off..off + (m - r)];
+        let mut s = 0.0;
+        for (k, &g) in row.iter().enumerate() {
+            s = madd_op(s, g, x[r + k]);
+        }
+        for (k, &g) in row.iter().enumerate().skip(1) {
+            y[r + k] = madd_op(y[r + k], g, x[r]);
+        }
+        y[r] += s;
+        off += m - r;
+    }
+}
+
+fn symv_packed_portable(ap: &[f64], x: &[f64], y: &mut [f64]) {
+    let m = x.len();
+    y.fill(0.0);
+    let (mut i0, mut off) = (0, 0);
+    while i0 + 4 <= m {
+        let o = symv_block_offsets(m, i0, off);
+        let t = m - i0 - 4;
+        let xs = [x[i0], x[i0 + 1], x[i0 + 2], x[i0 + 3]];
+        // Corner rows padded to four lanes (zero below the diagonal); they
+        // are the first chunk of every row's lanes.
+        let mut corner = [[0.0_f64; 4]; 4];
+        let mut acc = [[0.0_f64; 4]; 4]; // acc[row][lane]
+        for r in 0..4 {
+            corner[r][r..].copy_from_slice(&ap[o[r]..o[r] + 4 - r]);
+            for l in 0..4 {
+                acc[r][l] += corner[r][l] * xs[l];
+            }
+        }
+        // Row i0 + r's part right of the block starts 4 − r values into
+        // its packed row.
+        let rows = [
+            &ap[o[0] + 4..o[0] + 4 + t],
+            &ap[o[1] + 3..o[1] + 3 + t],
+            &ap[o[2] + 2..o[2] + 2 + t],
+            &ap[o[3] + 1..o[3] + 1 + t],
+        ];
+        let xt = &x[i0 + 4..];
+        let yt = &mut y[i0 + 4..];
+        let chunks = t / 4;
+        for c in 0..chunks {
+            let j = c * 4;
+            let xv = &xt[j..j + 4];
+            let yv = &mut yt[j..j + 4];
+            // Lane-innermost, so each statement is one 4-wide operation.
+            for r in 0..4 {
+                let g = &rows[r][j..j + 4];
+                for l in 0..4 {
+                    acc[r][l] += g[l] * xv[l];
+                    yv[l] += g[l] * xs[r];
+                }
+            }
+        }
+        let mut dots = [0.0_f64; 4];
+        for r in 0..4 {
+            dots[r] = ((acc[r][0] + acc[r][1]) + acc[r][2]) + acc[r][3];
+        }
+        for j in chunks * 4..t {
+            let xj = xt[j];
+            let mut yj = yt[j];
+            for r in 0..4 {
+                let g = rows[r][j];
+                dots[r] += g * xj;
+                yj += g * xs[r];
+            }
+            yt[j] = yj;
+        }
+        for c in 0..4 {
+            let mut yc = y[i0 + c];
+            for r in 0..3 {
+                let u = if c > r { corner[r][c] } else { 0.0 };
+                yc += u * xs[r];
+            }
+            y[i0 + c] = yc + dots[c];
+        }
+        i0 += 4;
+        off = o[4];
+    }
+    symv_short_block(ap, x, y, i0, off, |acc, a, b| acc + a * b);
+}
+
 /// `out[j] += alpha * src[j]` over equal-length slices. Element-wise (no
 /// cross-element reduction), so vector width never affects bits; the Avx2
 /// level fuses each element's multiply-add.
@@ -539,11 +702,12 @@ pub fn fnma_dot_seq(init: f64, a: &[f64], b: &[f64]) -> f64 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, __m256i, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_castsi256_pd,
-        _mm256_cmpgt_epi64, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd,
-        _mm256_i64gather_pd, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_mul_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm256_sub_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        __m256d, __m256i, _mm256_add_pd, _mm256_blend_pd, _mm256_castpd256_pd128,
+        _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_extractf128_pd, _mm256_fmadd_pd,
+        _mm256_fnmadd_pd, _mm256_i64gather_pd, _mm256_loadu_pd, _mm256_loadu_si256,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_epi64x,
+        _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// Adds the four lanes of `v` in the canonical order
@@ -613,6 +777,102 @@ mod avx2 {
             out[3] = r3[j].mul_add(x[j], out[3]);
         }
         out
+    }
+
+    /// See [`super::symv_packed`] for the summation order; the caller has
+    /// checked `ap.len() == m(m+1)/2` and `y.len() == x.len() == m`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn symv_packed(ap: &[f64], x: &[f64], y: &mut [f64]) {
+        let m = x.len();
+        y.fill(0.0);
+        let a = ap.as_ptr();
+        let xp = x.as_ptr();
+        let yp = y.as_mut_ptr();
+        let zero = _mm256_setzero_pd();
+        let (mut i0, mut off) = (0, 0);
+        while i0 + 4 <= m {
+            let o = super::symv_block_offsets(m, i0, off);
+            let t = m - i0 - 4;
+            // Corner rows as four lanes over columns i0..i0+4, zero below
+            // the diagonal. Row r ≥ 1 loads from r values before its start
+            // (the tail of row r − 1, inside `ap`) and blends those lanes to
+            // zero; every row holds at least 4 − r values, so the loads end
+            // inside the row.
+            let v0 = _mm256_loadu_pd(a.add(o[0]));
+            let v1 = _mm256_blend_pd::<0b1110>(zero, _mm256_loadu_pd(a.add(o[1] - 1)));
+            let v2 = _mm256_blend_pd::<0b1100>(zero, _mm256_loadu_pd(a.add(o[2] - 2)));
+            let v3 = _mm256_blend_pd::<0b1000>(zero, _mm256_loadu_pd(a.add(o[3] - 3)));
+            let xc = _mm256_loadu_pd(xp.add(i0));
+            let mut a0 = _mm256_fmadd_pd(v0, xc, zero);
+            let mut a1 = _mm256_fmadd_pd(v1, xc, zero);
+            let mut a2 = _mm256_fmadd_pd(v2, xc, zero);
+            let mut a3 = _mm256_fmadd_pd(v3, xc, zero);
+            let xs = [
+                *xp.add(i0),
+                *xp.add(i0 + 1),
+                *xp.add(i0 + 2),
+                *xp.add(i0 + 3),
+            ];
+            let (xb0, xb1) = (_mm256_set1_pd(xs[0]), _mm256_set1_pd(xs[1]));
+            let (xb2, xb3) = (_mm256_set1_pd(xs[2]), _mm256_set1_pd(xs[3]));
+            // Row i0 + r's part right of the block starts 4 − r values into
+            // its packed row and holds exactly `t` values.
+            let p0 = a.add(o[0] + 4);
+            let p1 = a.add(o[1] + 3);
+            let p2 = a.add(o[2] + 2);
+            let p3 = a.add(o[3] + 1);
+            let xt = xp.add(i0 + 4);
+            let yt = yp.add(i0 + 4);
+            let chunks = t / 4;
+            for c in 0..chunks {
+                let j = c * 4;
+                let xv = _mm256_loadu_pd(xt.add(j));
+                let g0 = _mm256_loadu_pd(p0.add(j));
+                let g1 = _mm256_loadu_pd(p1.add(j));
+                let g2 = _mm256_loadu_pd(p2.add(j));
+                let g3 = _mm256_loadu_pd(p3.add(j));
+                a0 = _mm256_fmadd_pd(g0, xv, a0);
+                a1 = _mm256_fmadd_pd(g1, xv, a1);
+                a2 = _mm256_fmadd_pd(g2, xv, a2);
+                a3 = _mm256_fmadd_pd(g3, xv, a3);
+                let mut yv = _mm256_loadu_pd(yt.add(j));
+                yv = _mm256_fmadd_pd(g0, xb0, yv);
+                yv = _mm256_fmadd_pd(g1, xb1, yv);
+                yv = _mm256_fmadd_pd(g2, xb2, yv);
+                yv = _mm256_fmadd_pd(g3, xb3, yv);
+                _mm256_storeu_pd(yt.add(j), yv);
+            }
+            // The four rows' lane combines at once: transpose the
+            // accumulators so vector lane r holds row r's lane l, then add
+            // ((l0 + l1) + l2) + l3.
+            let t0 = _mm256_unpacklo_pd(a0, a1);
+            let t1 = _mm256_unpackhi_pd(a0, a1);
+            let t2 = _mm256_unpacklo_pd(a2, a3);
+            let t3 = _mm256_unpackhi_pd(a2, a3);
+            let l0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
+            let l1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
+            let l2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
+            let l3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
+            let mut dots = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(l0, l1), l2), l3);
+            for j in chunks * 4..t {
+                let (g0, g1, g2, g3) = (*p0.add(j), *p1.add(j), *p2.add(j), *p3.add(j));
+                let g = _mm256_set_pd(g3, g2, g1, g0);
+                dots = _mm256_fmadd_pd(g, _mm256_set1_pd(*xt.add(j)), dots);
+                let yj = yt.add(j);
+                *yj = g3.mul_add(
+                    xs[3],
+                    g2.mul_add(xs[2], g1.mul_add(xs[1], g0.mul_add(xs[0], *yj))),
+                );
+            }
+            let mut yc = _mm256_loadu_pd(yp.add(i0));
+            yc = _mm256_fmadd_pd(_mm256_blend_pd::<0b1110>(zero, v0), xb0, yc);
+            yc = _mm256_fmadd_pd(_mm256_blend_pd::<0b1100>(zero, v1), xb1, yc);
+            yc = _mm256_fmadd_pd(_mm256_blend_pd::<0b1000>(zero, v2), xb2, yc);
+            _mm256_storeu_pd(yp.add(i0), _mm256_add_pd(yc, dots));
+            i0 += 4;
+            off = o[4];
+        }
+        super::symv_short_block(ap, x, y, i0, off, |acc, a, b| a.mul_add(b, acc));
     }
 
     #[target_feature(enable = "avx2,fma")]

@@ -742,6 +742,75 @@ fn eigen_pipeline_resolves_clustered_eigenvalues() {
     }
 }
 
+/// `(samples, features)` with fewer samples than features: the Gram `XᵀX`
+/// has rank `samples`, so `features − samples` eigenvalues are zero up to
+/// rounding — the cluster where QL's deflation test must use the running
+/// matrix norm rather than the neighbouring diagonal entries.
+const RANK_DEFICIENT_SHAPES: [(usize, usize); 5] =
+    [(1, 4), (3, 9), (20, 64), (60, 130), (250, 318)];
+
+/// Gram of `samples × features` rows whose columns span four orders of
+/// magnitude, like a feature matrix padded with small noise columns.
+fn rank_deficient_gram(samples: usize, features: usize, seed: u64) -> Matrix {
+    let x = random_matrix(samples, features, seed);
+    let scaled = Matrix::from_fn(samples, features, |i, j| {
+        x[(i, j)] * 10f64.powi((j % 5) as i32 - 2)
+    });
+    scaled.gram()
+}
+
+#[test]
+fn eigen_pipeline_deflates_rank_deficient_grams() {
+    let mut blocked = EigenScratch::default();
+    let mut reference = EigenScratch::default();
+    for level in simd_levels() {
+        simd::with_level(level, || {
+            for (case, &(samples, n)) in RANK_DEFICIENT_SHAPES.iter().enumerate() {
+                let a = rank_deficient_gram(samples, n, 0x1A0 + case as u64);
+                eigen_scalar_into(&a, &mut reference)
+                    .unwrap_or_else(|e| panic!("scalar eigen {samples}x{n} ({level}): {e}"));
+                for threads in [1usize, 4] {
+                    par::with_threads(threads, || eigen_into(&a, &mut blocked))
+                        .unwrap_or_else(|e| panic!("eigen {samples}x{n} ({level}): {e}"));
+                    assert_eq!(
+                        blocked.values(),
+                        reference.values(),
+                        "eigenvalues blocked({threads}) vs scalar {samples}x{n} ({level})"
+                    );
+                    assert_eq!(
+                        blocked.vectors(),
+                        reference.vectors(),
+                        "eigenvectors blocked({threads}) vs scalar {samples}x{n} ({level})"
+                    );
+                }
+                let scale = a.max_abs();
+                let tol = 1e-11 * scale * n as f64;
+                let values = reference.values();
+                let v = reference.vectors();
+                let lambda = Matrix::from_fn(n, n, |i, j| if i == j { values[i] } else { 0.0 });
+                let rec = v.matmul(&lambda).unwrap().matmul(&v.transpose()).unwrap();
+                assert!(
+                    max_abs_diff(&rec, &a) < tol,
+                    "V·Λ·Vᵀ reconstruction {samples}x{n}: {}",
+                    max_abs_diff(&rec, &a)
+                );
+                let vtv = v.transpose().matmul(v).unwrap();
+                assert!(
+                    max_abs_diff(&vtv, &Matrix::identity(n)) < 1e-10 * n as f64,
+                    "VᵀV orthogonality {samples}x{n}"
+                );
+                // A PSD Gram of rank `samples`: no materially negative
+                // eigenvalue, and the trailing `n − samples` are ~0.
+                assert!(values.iter().all(|&l| l > -tol), "{samples}x{n}");
+                assert!(
+                    values[samples..].iter().all(|&l| l.abs() < tol),
+                    "null-space eigenvalues {samples}x{n}"
+                );
+            }
+        });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Compact-WY vs per-reflector QR
 // ---------------------------------------------------------------------------

@@ -190,6 +190,45 @@ fn results_are_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
+fn packed_gram_is_the_dense_upper_triangle_bitwise_on_every_thread_count() {
+    // The packed build runs weighted_gram_into's axpy sequence and
+    // chunk-ordered reduction over packed rows, so its values are the
+    // dense Gram's upper triangle bit for bit — for any thread count, on
+    // the single-chunk and the multi-chunk (pool) paths alike.
+    for level in simd_levels() {
+        for (case, &(n, m)) in SHAPES.iter().enumerate() {
+            let seed = 0xE0 + case as u64;
+            let a = random_matrix(n, m, seed);
+            let w = random_vec(n, seed ^ 1);
+            let x = random_vec(m, seed ^ 2);
+            for weights in [None, Some(&w[..])] {
+                let dense =
+                    simd::with_level(level, || par::with_threads(1, || a.weighted_gram(weights)));
+                let upper: Vec<f64> = (0..m).flat_map(|i| dense.row(i)[i..].to_vec()).collect();
+                let mut symv = Vec::new();
+                for threads in [1usize, 4] {
+                    let (packed, y) = simd::with_level(level, || {
+                        par::with_threads(threads, || {
+                            let packed = a.weighted_gram_packed(weights);
+                            let y = packed.symv(&x).unwrap();
+                            (packed, y)
+                        })
+                    });
+                    assert_eq!(
+                        packed.as_slice(),
+                        &upper[..],
+                        "packed gram {n}x{m} threads={threads} ({level})"
+                    );
+                    assert_eq!(packed.to_dense(), dense, "mirror {n}x{m} ({level})");
+                    symv.push(y);
+                }
+                assert_eq!(symv[0], symv[1], "packed symv threads {n}x{m} ({level})");
+            }
+        }
+    }
+}
+
+#[test]
 fn unweighted_gram_equals_weighted_gram_with_unit_weights() {
     let a = random_matrix(300, 21, 0xD0);
     let ones = vec![1.0; 300];

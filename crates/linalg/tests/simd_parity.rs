@@ -9,7 +9,7 @@
 //! does change bits (so the per-level framing is not vacuous).
 
 use priu_linalg::simd::{self, SimdLevel};
-use priu_linalg::{par, scale_add_slices, CsrMatrix, Matrix};
+use priu_linalg::{par, scale_add_slices, CsrMatrix, Matrix, PackedSymmetric};
 use priu_rng::Rng64;
 
 fn levels() -> Vec<SimdLevel> {
@@ -246,6 +246,124 @@ fn full_kernels_are_bitwise_stable_per_level_and_numerically_equal_across() {
             close(p.2.as_slice(), v.2.as_slice(), 1e-8),
             "gram across levels"
         );
+    }
+}
+
+/// Dimensions straddling the 4-row block and the 4-wide tail lanes, up to
+/// the SGEMM (extended) feature count.
+const SYMV_DIMS: [usize; 11] = [1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 318];
+
+/// Independent reference for `simd::symv_packed`'s documented order: a
+/// plain walk over the dense `a[r][j]` with the level's element op in
+/// every position. Per full block of four rows: each row's dot over the
+/// canonical lanes starting at the block's first column (the corner chunk,
+/// zero below the diagonal, comes first), `y[j]` right of the block
+/// absorbing the four rows in ascending order, then the mirrored corner
+/// (rows 0..3 of the block, zero where `c <= r`) and the row dots. The
+/// last `m mod 4` rows run as plain sequential rows.
+fn ref_symv_packed(level: SimdLevel, a: &Matrix, x: &[f64]) -> Vec<f64> {
+    let m = x.len();
+    let mut y = vec![0.0; m];
+    let mut i0 = 0;
+    while i0 + 4 <= m {
+        let upper = |r: usize, c: usize| if c >= r { a[(i0 + r, i0 + c)] } else { 0.0 };
+        let mut lanes = [[0.0_f64; 4]; 4];
+        for (r, row) in lanes.iter_mut().enumerate() {
+            for (l, lane) in row.iter_mut().enumerate() {
+                *lane = ref_madd(level, 0.0, upper(r, l), x[i0 + l]);
+            }
+        }
+        let i1 = i0 + 4;
+        let full = i1 + (m - i1) / 4 * 4;
+        for j in i1..full {
+            for (r, row) in lanes.iter_mut().enumerate() {
+                let l = (j - i1) % 4;
+                row[l] = ref_madd(level, row[l], a[(i0 + r, j)], x[j]);
+                y[j] = ref_madd(level, y[j], a[(i0 + r, j)], x[i0 + r]);
+            }
+        }
+        let mut dots = lanes.map(|l| ((l[0] + l[1]) + l[2]) + l[3]);
+        for j in full..m {
+            for (r, dot) in dots.iter_mut().enumerate() {
+                *dot = ref_madd(level, *dot, a[(i0 + r, j)], x[j]);
+                y[j] = ref_madd(level, y[j], a[(i0 + r, j)], x[i0 + r]);
+            }
+        }
+        for (c, dot) in dots.iter().enumerate() {
+            for r in 0..3 {
+                let u = if c > r { upper(r, c) } else { 0.0 };
+                y[i0 + c] = ref_madd(level, y[i0 + c], u, x[i0 + r]);
+            }
+            y[i0 + c] += dot;
+        }
+        i0 = i1;
+    }
+    for r in i0..m {
+        let mut s = 0.0;
+        for c in r..m {
+            s = ref_madd(level, s, a[(r, c)], x[c]);
+        }
+        for c in r + 1..m {
+            y[c] = ref_madd(level, y[c], a[(r, c)], x[r]);
+        }
+        y[r] += s;
+    }
+    y
+}
+
+fn random_symmetric(m: usize, seed: u64) -> Matrix {
+    let b = random_matrix(m, m, seed);
+    Matrix::from_fn(m, m, |i, j| b[(i.min(j), i.max(j))])
+}
+
+#[test]
+fn packed_symv_matches_lane_structured_reference_bitwise() {
+    for level in levels() {
+        for (case, &m) in SYMV_DIMS.iter().enumerate() {
+            let a = random_symmetric(m, 0xA00 + case as u64);
+            let packed = PackedSymmetric::from_symmetric(&a).unwrap();
+            let x = random_vec(m, 0xA80 + case as u64);
+            let want = ref_symv_packed(level, &a, &x);
+            for threads in [1usize, 4] {
+                let got = simd::with_level(level, || {
+                    par::with_threads(threads, || packed.symv(&x).unwrap())
+                });
+                assert_eq!(
+                    got.as_slice(),
+                    &want[..],
+                    "symv m={m} threads={threads} ({level})"
+                );
+            }
+            // Numerically the dense product.
+            let dense = simd::with_level(level, || a.matvec(&x).unwrap());
+            let scale = dense.norm2().max(1.0);
+            for (g, d) in want.iter().zip(dense.iter()) {
+                assert!(
+                    (g - d).abs() <= 1e-12 * scale,
+                    "symv vs matvec m={m} ({level})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_symv_rejects_mismatched_lengths() {
+    for level in levels() {
+        simd::with_level(level, || {
+            let ap = [1.0; 6]; // m = 3
+            let x = [1.0; 3];
+            let mut short = [0.0; 2];
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simd::symv_packed(&ap, &x, &mut short)
+            }))
+            .is_err());
+            let mut y = [0.0; 3];
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simd::symv_packed(&ap[..5], &x, &mut y)
+            }))
+            .is_err());
+        });
     }
 }
 
