@@ -680,6 +680,60 @@ fn bench_simd_grid(c: &mut Criterion) {
         }
     }
 
+    // The dense linear PrIU replay at the `paper-linear` shape (5000 x 318,
+    // B = 200, tau = 100: 40 MB of packed Grams, streamed from memory): the
+    // packed Gram splits into two row ranges, run as one lockstep region
+    // on 1 vs 2 threads (identical bits either way).
+    {
+        use priu_core::trainer::linear::train_linear;
+        use priu_core::update::priu_linear::priu_update_linear_with;
+        use priu_core::{Compression, TrainerConfig, Workspace};
+        use priu_data::catalog::Hyperparameters;
+        use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+
+        let (n, m) = (5000, 318);
+        let data = generate_regression(&RegressionConfig {
+            num_samples: n,
+            num_features: m,
+            noise_std: 0.1,
+            seed: 48,
+            ..Default::default()
+        });
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 200,
+            num_iterations: 100,
+            learning_rate: 0.001,
+            regularization: 0.01,
+        })
+        .with_opt_capture(false)
+        .with_compression(Compression::None);
+        let provenance = train_linear(&data, &config).unwrap().provenance;
+        let removed: Vec<usize> = (0..n).step_by(50).collect();
+        let mut ws = Workspace::new();
+        for &(level, name) in &levels {
+            for threads in [1usize, 2] {
+                group.bench_function(
+                    BenchmarkId::new(format!("priu_replay_m318_{name}"), format!("{threads}t")),
+                    |b| {
+                        b.iter(|| {
+                            simd::with_level(level, || {
+                                par::with_threads(threads, || {
+                                    priu_update_linear_with(
+                                        &data,
+                                        &provenance,
+                                        black_box(&removed),
+                                        &mut ws,
+                                    )
+                                    .unwrap()
+                                })
+                            })
+                        })
+                    },
+                );
+            }
+        }
+    }
+
     // Sparse gather-dot / scatter at an RCV1-like shape.
     let (sn, sm, snnz) = (4000usize, 10_000usize, 50usize);
     let sp = random_csr(sn, sm, snnz, 43);

@@ -137,6 +137,15 @@ impl GramCache {
         }
     }
 
+    /// The dimension `m` of the `m × m` operator.
+    pub fn dim(&self) -> usize {
+        match self {
+            GramCache::Dense(g) => g.dim(),
+            GramCache::Truncated(t) => t.dim(),
+            GramCache::Deflated { base, .. } => base.dim(),
+        }
+    }
+
     /// Number of deflation-correction rows carried by the cache (0 for
     /// dense/truncated caches). Workspace sizing uses this to reserve the
     /// apply scratch before a timed update starts.

@@ -122,7 +122,11 @@ impl LinearEngine {
         let dataset = get_dense_dataset(r, "linear dataset")?;
         let config = get_trainer_config(r, "linear config")?;
         let model = get_model(r, "linear model")?;
-        let provenance = get_linear_provenance(r, "linear provenance")?;
+        let provenance = get_linear_provenance(
+            r,
+            "linear provenance",
+            (dataset.num_samples(), dataset.num_features()),
+        )?;
         let closed_form = if r.bool("linear closed-form flag")? {
             Some(get_closed_form(r, "linear closed-form")?)
         } else {

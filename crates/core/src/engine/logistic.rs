@@ -108,7 +108,11 @@ impl LogisticEngine {
         let dataset = get_dense_dataset(r, "logistic dataset")?;
         let config = get_trainer_config(r, "logistic config")?;
         let model = get_model(r, "logistic model")?;
-        let provenance = get_logistic_provenance(r, "logistic provenance")?;
+        let provenance = get_logistic_provenance(
+            r,
+            "logistic provenance",
+            (dataset.num_samples(), dataset.num_features()),
+        )?;
         let training_time = Duration::from_nanos(r.u64("logistic training time")?);
         Ok(Self {
             dataset,

@@ -75,7 +75,7 @@ impl SparseLogisticEngine {
         let dataset = get_sparse_dataset(r, "sparse dataset")?;
         let config = get_trainer_config(r, "sparse config")?;
         let model = get_model(r, "sparse model")?;
-        let provenance = get_sparse_provenance(r, "sparse provenance")?;
+        let provenance = get_sparse_provenance(r, "sparse provenance", dataset.num_samples())?;
         let training_time = Duration::from_nanos(r.u64("sparse training time")?);
         Ok(Self {
             dataset,

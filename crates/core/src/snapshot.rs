@@ -653,8 +653,87 @@ pub fn put_linear_provenance(w: &mut SnapshotWriter, p: &LinearProvenance) {
     }
 }
 
-/// Decodes the full linear-regression provenance.
-pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
+/// Checks a decoded schedule against what it drives: the dataset's
+/// `num_samples`, and one cached iteration per scheduled one whose batch
+/// size (`batch_sizes`, in iteration order) is its batch's length. Once
+/// this passes, the payload's cache count bounds `num_iterations`, so a
+/// seed-derived schedule's batch table is filled here and restored
+/// sessions replay from it.
+fn check_schedule(
+    schedule: &BatchSchedule,
+    num_samples: usize,
+    batch_sizes: impl ExactSizeIterator<Item = usize>,
+    what: &str,
+) -> Result<()> {
+    if schedule.num_samples() != num_samples {
+        return Err(corrupt(&format!(
+            "{what}: schedule draws from {} samples, the dataset holds {num_samples}",
+            schedule.num_samples()
+        )));
+    }
+    if batch_sizes.len() != schedule.num_iterations() {
+        return Err(corrupt(&format!(
+            "{what}: {} cached iterations for a schedule of {}",
+            batch_sizes.len(),
+            schedule.num_iterations()
+        )));
+    }
+    match schedule.explicit_batches() {
+        Some(batches) => {
+            if batches.len() != schedule.num_iterations() {
+                return Err(corrupt(&format!(
+                    "{what}: {} explicit batches for a schedule of {} iterations",
+                    batches.len(),
+                    schedule.num_iterations()
+                )));
+            }
+            for (t, (batch, size)) in batches.iter().zip(batch_sizes).enumerate() {
+                if batch.len() != size || batch.iter().any(|&i| i >= num_samples) {
+                    return Err(corrupt(&format!(
+                        "{what}: batch {t} disagrees with its cache or the dataset"
+                    )));
+                }
+            }
+        }
+        None => {
+            let len = schedule.batch_size();
+            if len > num_samples {
+                return Err(corrupt(&format!(
+                    "{what}: batches of {len} from {num_samples} samples"
+                )));
+            }
+            for (t, size) in batch_sizes.enumerate() {
+                if size != len {
+                    return Err(corrupt(&format!(
+                        "{what}: iteration {t} caches a batch of {size}, the schedule draws {len}"
+                    )));
+                }
+            }
+        }
+    }
+    schedule.fill_table();
+    Ok(())
+}
+
+/// Checks that a decoded Gram cache and its vector act on `m` features.
+fn check_features(gram: &GramCache, vector: &Vector, m: usize, what: &str) -> Result<()> {
+    if gram.dim() != m || vector.len() != m {
+        return Err(corrupt(&format!(
+            "{what}: a {}-dimensional cache for {m} features",
+            gram.dim()
+        )));
+    }
+    Ok(())
+}
+
+/// Decodes the full linear-regression provenance of a dataset with
+/// `num_samples` rows and `num_features` columns, checking that every
+/// cache matches both and the schedule ([`CoreError::Snapshot`] otherwise).
+pub fn get_linear_provenance(
+    r: &mut SnapshotReader<'_>,
+    what: &str,
+    (num_samples, num_features): (usize, usize),
+) -> Result<LinearProvenance> {
     let schedule = get_schedule(r, what)?;
     let learning_rate = r.f64(what)?;
     let regularization = r.f64(what)?;
@@ -676,6 +755,15 @@ pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<L
     } else {
         None
     };
+    for it in &iterations {
+        check_features(&it.gram, &it.xy, num_features, what)?;
+    }
+    check_schedule(
+        &schedule,
+        num_samples,
+        iterations.iter().map(|it| it.batch_size),
+        what,
+    )?;
     Ok(LinearProvenance {
         schedule,
         learning_rate,
@@ -718,10 +806,13 @@ pub fn put_logistic_provenance(w: &mut SnapshotWriter, p: &LogisticProvenance) {
     }
 }
 
-/// Decodes the full logistic-regression provenance.
+/// Decodes the full logistic-regression provenance of a dataset with
+/// `num_samples` rows and `num_features` columns, with the checks of
+/// [`get_linear_provenance`] plus one coefficient pair per batch member.
 pub fn get_logistic_provenance(
     r: &mut SnapshotReader<'_>,
     what: &str,
+    (num_samples, num_features): (usize, usize),
 ) -> Result<LogisticProvenance> {
     let schedule = get_schedule(r, what)?;
     let learning_rate = r.f64(what)?;
@@ -764,6 +855,24 @@ pub fn get_logistic_provenance(
     } else {
         None
     };
+    for it in &iterations {
+        for class in &it.classes {
+            check_features(&class.gram, &class.d, num_features, what)?;
+            if class.coefficients.len() != it.batch_size {
+                return Err(corrupt(&format!(
+                    "{what}: {} coefficients for a batch of {}",
+                    class.coefficients.len(),
+                    it.batch_size
+                )));
+            }
+        }
+    }
+    check_schedule(
+        &schedule,
+        num_samples,
+        iterations.iter().map(|it| it.batch_size),
+        what,
+    )?;
     Ok(LogisticProvenance {
         schedule,
         learning_rate,
@@ -787,10 +896,12 @@ pub fn put_sparse_provenance(w: &mut SnapshotWriter, p: &SparseLogisticProvenanc
     }
 }
 
-/// Decodes the sparse-logistic provenance.
+/// Decodes the sparse-logistic provenance of a dataset with `num_samples`
+/// rows, checking one coefficient pair per member of every scheduled batch.
 pub fn get_sparse_provenance(
     r: &mut SnapshotReader<'_>,
     what: &str,
+    num_samples: usize,
 ) -> Result<SparseLogisticProvenance> {
     let schedule = get_schedule(r, what)?;
     let learning_rate = r.f64(what)?;
@@ -801,6 +912,12 @@ pub fn get_sparse_provenance(
     for _ in 0..n {
         coefficients.push(get_pairs(r, what)?);
     }
+    check_schedule(
+        &schedule,
+        num_samples,
+        coefficients.iter().map(Vec::len),
+        what,
+    )?;
     Ok(SparseLogisticProvenance {
         schedule,
         learning_rate,
@@ -1000,5 +1117,187 @@ mod tests {
             r.finish().unwrap();
             assert_eq!(back, schedule);
         }
+    }
+
+    /// A small trained linear session's dataset and provenance.
+    fn linear_session() -> (DenseDataset, LinearProvenance) {
+        use crate::trainer::linear::train_linear;
+        use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+        let data = generate_regression(&RegressionConfig {
+            num_samples: 120,
+            num_features: 5,
+            noise_std: 0.1,
+            seed: 5,
+            ..Default::default()
+        });
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 20,
+            num_iterations: 10,
+            learning_rate: 0.05,
+            regularization: 0.01,
+        })
+        .with_seed(3);
+        let provenance = train_linear(&data, &config).unwrap().provenance;
+        (data, provenance)
+    }
+
+    fn linear_bytes(p: &LinearProvenance) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        put_linear_provenance(&mut w, p);
+        w.into_bytes()
+    }
+
+    fn decode_linear(bytes: &[u8], shape: (usize, usize)) -> Result<LinearProvenance> {
+        get_linear_provenance(&mut SnapshotReader::new(bytes), "linear provenance", shape)
+    }
+
+    #[test]
+    fn decoded_linear_provenance_must_agree_with_its_schedule_and_dataset() {
+        use crate::update::priu_linear::priu_update_linear;
+        let (data, provenance) = linear_session();
+        let shape = (data.num_samples(), data.num_features());
+        let snapshot_error = |r: Result<LinearProvenance>| matches!(r, Err(CoreError::Snapshot(_)));
+
+        // More scheduled iterations than caches: refused at decode (the
+        // replay used to panic with "iteration 10 out of range").
+        let mut longer = provenance.clone();
+        longer.schedule = BatchSchedule::new(120, 20, 11, 3);
+        assert!(snapshot_error(decode_linear(&linear_bytes(&longer), shape)));
+        let mut shorter = provenance.clone();
+        shorter.iterations.pop();
+        assert!(snapshot_error(decode_linear(
+            &linear_bytes(&shorter),
+            shape
+        )));
+
+        // The schedule, every Gram and every moment vector must match the
+        // dataset the session decodes with.
+        let bytes = linear_bytes(&provenance);
+        assert!(snapshot_error(decode_linear(&bytes, (121, 5))));
+        assert!(snapshot_error(decode_linear(&bytes, (120, 6))));
+        let mut short_xy = provenance.clone();
+        short_xy.iterations[4].xy = Vector::zeros(4);
+        assert!(snapshot_error(decode_linear(
+            &linear_bytes(&short_xy),
+            shape
+        )));
+
+        // A cached batch size must be its batch's length, on seed-derived
+        // and explicit schedules alike.
+        let mut wrong_size = provenance.clone();
+        wrong_size.iterations[2].batch_size = 19;
+        assert!(snapshot_error(decode_linear(
+            &linear_bytes(&wrong_size),
+            shape
+        )));
+        let mut explicit = provenance.clone();
+        let mut batches: Vec<Vec<usize>> = (0..10).map(|t| provenance.schedule.batch(t)).collect();
+        explicit.schedule = BatchSchedule::from_parts(120, 20, 10, 3, Some(batches.clone()));
+        assert!(decode_linear(&linear_bytes(&explicit), shape).is_ok());
+        batches[7].pop();
+        explicit.schedule = BatchSchedule::from_parts(120, 20, 10, 3, Some(batches.clone()));
+        assert!(snapshot_error(decode_linear(
+            &linear_bytes(&explicit),
+            shape
+        )));
+        batches.pop();
+        explicit.schedule = BatchSchedule::from_parts(120, 20, 10, 3, Some(batches));
+        assert!(snapshot_error(decode_linear(
+            &linear_bytes(&explicit),
+            shape
+        )));
+
+        // A consistent payload restores with its batch table filled and
+        // replays bitwise like the live session.
+        let back = decode_linear(&bytes, shape).unwrap();
+        assert!(back.schedule.table_filled());
+        let removed = [3usize, 40, 77];
+        assert_eq!(
+            priu_update_linear(&data, &back, &removed).unwrap(),
+            priu_update_linear(&data, &provenance, &removed).unwrap()
+        );
+    }
+
+    #[test]
+    fn decoded_logistic_and_sparse_provenance_must_agree_with_their_schedules() {
+        use crate::trainer::logistic::train_binary_logistic;
+        use crate::trainer::sparse::train_sparse_binary_logistic;
+        use priu_data::synthetic::classification::{
+            generate_binary_classification, ClassificationConfig,
+        };
+        use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 20,
+            num_iterations: 8,
+            learning_rate: 0.3,
+            regularization: 0.01,
+        })
+        .with_seed(4);
+
+        let data = generate_binary_classification(&ClassificationConfig {
+            num_samples: 100,
+            num_features: 4,
+            seed: 6,
+            ..Default::default()
+        });
+        let shape = (data.num_samples(), data.num_features());
+        let provenance = train_binary_logistic(&data, &config).unwrap().provenance;
+        let decode = |p: &LogisticProvenance, shape| {
+            let mut w = SnapshotWriter::new();
+            put_logistic_provenance(&mut w, p);
+            let bytes = w.into_bytes();
+            get_logistic_provenance(&mut SnapshotReader::new(&bytes), "logistic", shape)
+        };
+        let back = decode(&provenance, shape).unwrap();
+        assert!(back.schedule.table_filled());
+        let mut longer = provenance.clone();
+        longer.schedule = BatchSchedule::new(100, 20, 9, 4);
+        assert!(matches!(
+            decode(&longer, shape),
+            Err(CoreError::Snapshot(_))
+        ));
+        assert!(matches!(
+            decode(&provenance, (100, 5)),
+            Err(CoreError::Snapshot(_))
+        ));
+        let mut short_coefficients = provenance.clone();
+        short_coefficients.iterations[3].classes[0]
+            .coefficients
+            .pop();
+        assert!(matches!(
+            decode(&short_coefficients, shape),
+            Err(CoreError::Snapshot(_))
+        ));
+
+        let data = generate_sparse_binary(&SparseConfig {
+            num_samples: 100,
+            num_features: 50,
+            nnz_per_row: 5,
+            informative_fraction: 0.2,
+            seed: 7,
+        });
+        let provenance = train_sparse_binary_logistic(&data, &config)
+            .unwrap()
+            .provenance;
+        let decode = |p: &SparseLogisticProvenance, n| {
+            let mut w = SnapshotWriter::new();
+            put_sparse_provenance(&mut w, p);
+            let bytes = w.into_bytes();
+            get_sparse_provenance(&mut SnapshotReader::new(&bytes), "sparse", n)
+        };
+        assert!(decode(&provenance, 100).unwrap().schedule.table_filled());
+        assert!(matches!(
+            decode(&provenance, 99),
+            Err(CoreError::Snapshot(_))
+        ));
+        let mut shorter = provenance.clone();
+        shorter.coefficients.pop();
+        assert!(matches!(decode(&shorter, 100), Err(CoreError::Snapshot(_))));
+        let mut short_batch = provenance;
+        short_batch.coefficients[2].pop();
+        assert!(matches!(
+            decode(&short_batch, 100),
+            Err(CoreError::Snapshot(_))
+        ));
     }
 }

@@ -17,7 +17,10 @@
 //! *and* larger operands, `priu_linalg::par` hands the kernel to its
 //! persistent worker pool — the pool's threads are spawned once (lazily, on
 //! the first such call) and each worker's scratch warms once; steady-state
-//! parallel calls allocate nothing.
+//! parallel calls allocate nothing. The dense linear PrIU replay at widths
+//! that split the packed Gram (`m(m+1)/2 ≥ 32768`) runs as one lockstep
+//! pool region per update: one small job handle per call, never per
+//! iteration, with the removed rows staged and the partials kept here.
 //!
 //! The struct counts *growth events* (a buffer needing more capacity than it
 //! had). A warmed workspace reports a stable [`Workspace::grow_events`]
@@ -31,8 +34,9 @@
 //! outlives the loop by design and is exempt from the zero-allocation
 //! guarantee (see DESIGN.md §3.3).
 
+use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::EigenScratch;
-use priu_linalg::Matrix;
+use priu_linalg::{Matrix, SymvChunks};
 
 /// Reusable scratch for the trainer and update hot loops.
 ///
@@ -48,6 +52,14 @@ pub struct Workspace {
     pub(crate) idx_scratch: Vec<usize>,
     /// Positions (within the batch) of removed samples.
     pub(crate) positions: Vec<usize>,
+    /// Removed members of every replayed batch, in batch order,
+    /// concatenated over the iterations ([`Workspace::stage_removed`]).
+    pub(crate) removed_rows: Vec<usize>,
+    /// Iteration `t`'s removed members are
+    /// `removed_rows[removed_at[t]..removed_at[t + 1]]`.
+    pub(crate) removed_at: Vec<usize>,
+    /// Membership bitmap of the removal set while it is staged.
+    removed_mask: Vec<u64>,
     /// Surviving batch-member sample indices, compacted (sparse replay).
     pub(crate) sel: Vec<usize>,
     /// Per-batch-member class labels (multinomial training).
@@ -68,6 +80,8 @@ pub struct Workspace {
     /// Gram-cache apply scratch (rank- and removal-sized).
     pub(crate) g0: Vec<f64>,
     pub(crate) g1: Vec<f64>,
+    /// Per-chunk partial sums of the chunked linear replay.
+    pub(crate) partials: Vec<f64>,
     /// Feature-square (`m x m`) matrix buffers for the offline
     /// decomposition paths (PrIU-opt capture Grams, closed-form views and
     /// their Cholesky factors).
@@ -128,6 +142,8 @@ impl Workspace {
         for buf in [&mut ws.m0, &mut ws.m1, &mut ws.m2, &mut ws.g0, &mut ws.g1] {
             buf.reserve(num_features);
         }
+        ws.partials
+            .reserve(3 * num_features * SymvChunks::new(num_features).count());
         ws.grow_events = 0;
         ws
     }
@@ -188,6 +204,58 @@ impl Workspace {
     pub(crate) fn prepare_sparse_batch(&mut self, batch_len: usize) {
         for buf in [&mut self.b0, &mut self.b1, &mut self.b2] {
             ensure_len(buf, batch_len, &mut self.grow_events);
+        }
+    }
+
+    /// Sizes the chunked replay's partial buffers to `len` values without
+    /// zeroing (every chunk overwrites its own partial before use).
+    pub(crate) fn prepare_partials(&mut self, len: usize) {
+        ensure_len(&mut self.partials, len, &mut self.grow_events);
+    }
+
+    /// Derives the first `iterations` batches of `schedule` once and stages
+    /// their members that belong to `removed` (sorted ascending) into
+    /// `removed_rows` / `removed_at`, so a replay reads them per iteration
+    /// without deriving batches again.
+    pub(crate) fn stage_removed(
+        &mut self,
+        schedule: &BatchSchedule,
+        iterations: usize,
+        removed: &[usize],
+    ) {
+        let capacity = (
+            self.removed_rows.capacity(),
+            self.removed_at.capacity(),
+            self.removed_mask.capacity(),
+        );
+        // A bitmap test per batch member, instead of a merge against the
+        // whole removal set per batch: O(τ·B + |removed|) in all.
+        let words = removed.last().map_or(0, |&r| r / 64 + 1);
+        self.removed_mask.clear();
+        self.removed_mask.resize(words, 0);
+        for &r in removed {
+            self.removed_mask[r / 64] |= 1 << (r % 64);
+        }
+        self.removed_rows.clear();
+        self.removed_at.clear();
+        self.removed_at.push(0);
+        for t in 0..iterations {
+            if !removed.is_empty() {
+                schedule.batch_into(t, &mut self.batch, &mut self.idx_scratch);
+                let mask = &self.removed_mask;
+                self.removed_rows.extend(
+                    self.batch
+                        .iter()
+                        .filter(|&&i| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)),
+                );
+            }
+            self.removed_at.push(self.removed_rows.len());
+        }
+        if self.removed_rows.capacity() > capacity.0
+            || self.removed_at.capacity() > capacity.1
+            || self.removed_mask.capacity() > capacity.2
+        {
+            self.grow_events += 1;
         }
     }
 

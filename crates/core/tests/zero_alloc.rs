@@ -22,7 +22,7 @@ use priu_core::update::priu_logistic::priu_update_logistic_with;
 use priu_core::update::priu_opt_logistic::priu_opt_update_logistic_with;
 use priu_core::update::sparse_logistic::priu_update_sparse_logistic_with;
 use priu_core::{
-    DeletionEngine, Delta, DeltaRows, Method, SessionBuilder, TrainerConfig, Workspace,
+    Compression, DeletionEngine, Delta, DeltaRows, Method, SessionBuilder, TrainerConfig, Workspace,
 };
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, SparseDataset};
@@ -154,6 +154,51 @@ fn update_allocations_are_independent_of_iteration_count() {
          for 6 vs 48 iterations)"
     );
     assert_eq!(ws.grow_events(), 0, "warm workspace grew during replay");
+
+    // The multi-chunk replay (m = 256 splits the packed Gram into two row
+    // ranges run as one lockstep region): still per-call allocations only,
+    // at every thread count, and no growth once warm.
+    let wide = generate_regression(&RegressionConfig {
+        num_samples: 400,
+        num_features: 256,
+        noise_std: 0.1,
+        seed: 94,
+        ..Default::default()
+    });
+    assert!(priu_linalg::SymvChunks::new(256).count() > 1);
+    let wide_config = |iters| {
+        config_with_batch(iters, 0.001, 30)
+            .with_opt_capture(false)
+            .with_compression(Compression::None)
+    };
+    let mut ws = Workspace::new();
+    let short = train_linear_with(&wide, &wide_config(4), &mut ws).unwrap();
+    let long = train_linear_with(&wide, &wide_config(16), &mut ws).unwrap();
+    start_pool_worker();
+    for threads in [1, 2] {
+        priu_linalg::par::with_threads(threads, || {
+            let mut ws = Workspace::new();
+            priu_update_linear_with(&wide, &short.provenance, &removed, &mut ws).unwrap();
+            priu_update_linear_with(&wide, &long.provenance, &removed, &mut ws).unwrap();
+            ws.reset_grow_events();
+            let allocs_short = count_allocations(|| {
+                priu_update_linear_with(&wide, &short.provenance, &removed, &mut ws).unwrap();
+            });
+            let allocs_long = count_allocations(|| {
+                priu_update_linear_with(&wide, &long.provenance, &removed, &mut ws).unwrap();
+            });
+            assert_eq!(
+                allocs_short, allocs_long,
+                "multi-chunk linear PrIU allocated per iteration at {threads} threads \
+                 ({allocs_short} vs {allocs_long} allocations for 4 vs 16 iterations)"
+            );
+            assert_eq!(
+                ws.grow_events(),
+                0,
+                "warm workspace grew during the multi-chunk replay"
+            );
+        });
+    }
 
     // Logistic PrIU and PrIU-opt: 10 vs 80 iterations (the opt capture's
     // phase-1 replay span and phase-2 recursion length both scale with τ).
@@ -339,6 +384,32 @@ fn update_allocations_are_independent_of_iteration_count() {
 
     offline_factorization_allocations_are_per_call_constants();
     simd_dispatch_adds_no_warm_path_cost();
+}
+
+/// Starts the pool with one worker and waits until that worker has run a
+/// chunk, so its thread start-up allocations land before any counting
+/// window rather than racing into one.
+fn start_pool_worker() {
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+
+    let worker_ran = AtomicBool::new(false);
+    priu_linalg::par::with_threads(2, || {
+        priu_linalg::par::run_chunks(2, |_| {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|name| name == "priu-par-worker");
+            if on_worker {
+                worker_ran.store(true, Ordering::SeqCst);
+            } else {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !worker_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+        })
+    });
+    assert!(worker_ran.load(Ordering::SeqCst), "no pool worker started");
 }
 
 /// The `PRIU_SIMD` runtime dispatch must be free in the warm path: with

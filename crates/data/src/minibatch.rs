@@ -175,7 +175,7 @@ impl BatchSchedule {
     }
 
     /// Whether [`BatchSchedule::fill_table`] has materialised the batches.
-    fn table_filled(&self) -> bool {
+    pub fn table_filled(&self) -> bool {
         self.table.get().is_some()
     }
 

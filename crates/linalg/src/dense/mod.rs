@@ -7,5 +7,5 @@ pub mod packed;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use packed::PackedSymmetric;
+pub use packed::{PackedSymmetric, SymvChunks};
 pub use vector::{axpy_slices, scale_add_slices, Vector};

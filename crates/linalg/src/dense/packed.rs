@@ -11,6 +11,14 @@
 //! the [`crate::simd::symv_packed`] microkernel, which keeps the module's
 //! per-level determinism contract and never splits the work across threads,
 //! so its bits never depend on `PRIU_THREADS`.
+//!
+//! The PrIU replay splits each product itself: [`SymvChunks`] cuts the rows
+//! into equal-area ranges on the 4-row block grid, a function of `m` alone,
+//! and [`PackedSymmetric::symv_rows_into`] computes one range's partial.
+//! Summing the partials in ascending range order gives bits that depend on
+//! `m` and the SIMD level, never on how many threads computed them.
+
+use std::ops::Range;
 
 use crate::dense::matrix::Matrix;
 use crate::dense::vector::{axpy_slices, Vector};
@@ -33,6 +41,74 @@ pub fn packed_len(dim: usize) -> usize {
 /// hold `dim + (dim − 1) + … + (dim − i + 1)` values.
 pub(crate) fn packed_row_offset(dim: usize, i: usize) -> usize {
     i * (2 * dim - i + 1) / 2
+}
+
+/// Packed values a [`SymvChunks`] range aims to hold: large enough that
+/// one range's symv outweighs a lockstep hand-off between threads.
+const SYMV_CHUNK_VALUES: usize = 16 * 1024;
+/// Most ranges a [`SymvChunks`] decomposition uses.
+const SYMV_MAX_CHUNKS: usize = 8;
+
+/// The row decomposition of a `dim × dim` packed symv into partial products
+/// ([`PackedSymmetric::symv_rows_into`]). The range count `K` is the
+/// largest power of two not above `dim(dim+1)/2 / 16384`, capped at 8 and
+/// at least 1 — a power of two so the ranges share out evenly over 1, 2, 4
+/// or 8 threads. Boundaries sit on the 4-row block grid, each placed where
+/// its share of the packed values is nearest `c/K` of the total. Both count
+/// and boundaries depend on `dim` alone, never on the thread count.
+#[derive(Debug, Clone, Copy)]
+pub struct SymvChunks {
+    count: usize,
+    bounds: [usize; SYMV_MAX_CHUNKS + 1],
+}
+
+impl SymvChunks {
+    /// The decomposition for a `dim × dim` matrix.
+    pub fn new(dim: usize) -> Self {
+        let per_values = packed_len(dim) / SYMV_CHUNK_VALUES;
+        let mut count = 1;
+        while count * 2 <= per_values.min(SYMV_MAX_CHUNKS) {
+            count *= 2;
+        }
+        let mut bounds = [dim; SYMV_MAX_CHUNKS + 1];
+        bounds[0] = 0;
+        let total = packed_len(dim);
+        let mut r = 0;
+        for (c, bound) in bounds.iter_mut().enumerate().take(count).skip(1) {
+            let target = total * c / count;
+            // Largest block boundary at or before the target, then the
+            // nearer of it and the next one.
+            while r + 4 <= dim && packed_row_offset(dim, r + 4) <= target {
+                r += 4;
+            }
+            if r + 4 <= dim
+                && packed_row_offset(dim, r + 4) - target < target - packed_row_offset(dim, r)
+            {
+                *bound = r + 4;
+            } else {
+                *bound = r;
+            }
+        }
+        Self { count, bounds }
+    }
+
+    /// Number of row ranges `K`.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The rows of range `c`.
+    ///
+    /// # Panics
+    /// Panics if `c >= count()`.
+    pub fn rows(&self, c: usize) -> Range<usize> {
+        assert!(
+            c < self.count,
+            "symv chunk {c} out of range ({})",
+            self.count
+        );
+        self.bounds[c]..self.bounds[c + 1]
+    }
 }
 
 impl PackedSymmetric {
@@ -173,6 +249,30 @@ impl PackedSymmetric {
         crate::simd::symv_packed(&self.data, x, out);
         Ok(())
     }
+
+    /// The partial product of rows `rows` into a caller-owned buffer
+    /// (overwritten; see [`crate::simd::symv_packed_rows`]). The ranges of
+    /// a [`SymvChunks`] for this dimension, summed in ascending order, give
+    /// the product; the single range `0..dim` gives [`Self::symv_into`]'s
+    /// bits.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::ShapeMismatch`] if `x.len()` or `out.len()`
+    /// differs from `dim()`.
+    ///
+    /// # Panics
+    /// Panics if `rows` is off the 4-row block grid.
+    pub fn symv_rows_into(&self, x: &[f64], out: &mut [f64], rows: Range<usize>) -> Result<()> {
+        if x.len() != self.dim || out.len() != self.dim {
+            return Err(LinalgError::ShapeMismatch {
+                op: "PackedSymmetric::symv_rows_into",
+                left: (self.dim, self.dim),
+                right: (x.len(), out.len()),
+            });
+        }
+        crate::simd::symv_packed_rows(&self.data, x, out, rows);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -228,5 +328,67 @@ mod tests {
         }
         let p = PackedSymmetric::from_packed(3, vec![0.0; 6]).unwrap();
         assert!(p.symv(&[1.0; 2]).is_err());
+    }
+
+    #[test]
+    fn symv_chunks_depend_on_the_dimension_alone() {
+        // The serve shapes and anything below 2·16384 packed values stay a
+        // single range.
+        for m in [0, 1, 8, 32, 64, 180, 255] {
+            let c = SymvChunks::new(m);
+            assert_eq!(c.count(), 1, "m={m}");
+            assert_eq!(c.rows(0), 0..m);
+        }
+        assert_eq!(SymvChunks::new(256).count(), 2);
+        assert_eq!(SymvChunks::new(318).count(), 2);
+        assert_eq!(SymvChunks::new(400).count(), 4);
+        assert_eq!(SymvChunks::new(4000).count(), 8);
+        for m in [256, 318, 333, 400, 1000, 4000] {
+            let c = SymvChunks::new(m);
+            let total = packed_len(m);
+            let mut start = 0;
+            for k in 0..c.count() {
+                let r = c.rows(k);
+                assert_eq!(r.start, start, "m={m} chunk {k}");
+                assert!(r.start.is_multiple_of(4) && (r.end.is_multiple_of(4) || r.end == m));
+                assert!(r.end > r.start, "m={m} chunk {k} is empty");
+                let area = packed_row_offset(m, r.end) - packed_row_offset(m, r.start);
+                // Equal area up to one 4-row block either side.
+                assert!(
+                    area.abs_diff(total / c.count()) <= 8 * m,
+                    "m={m} chunk {k} holds {area} of {total}"
+                );
+                start = r.end;
+            }
+            assert_eq!(start, m);
+        }
+    }
+
+    #[test]
+    fn row_ranges_sum_to_the_product() {
+        let m = 318;
+        let a = sym(m);
+        let p = PackedSymmetric::from_symmetric(&a).unwrap();
+        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.7).sin()).collect();
+        let want = a.matvec(&x).unwrap();
+        let chunks = SymvChunks::new(m);
+        let mut total = vec![0.0; m];
+        let mut part = vec![0.0; m];
+        for c in 0..chunks.count() {
+            p.symv_rows_into(&x, &mut part, chunks.rows(c)).unwrap();
+            assert!(part[..chunks.rows(c).start].iter().all(|&v| v == 0.0));
+            axpy_slices(&mut total, 1.0, &part);
+        }
+        let err: f64 = total
+            .iter()
+            .zip(want.iter())
+            .map(|(g, w)| (g - w).abs())
+            .fold(0.0, f64::max);
+        assert!(err <= 1e-9 * want.norm2(), "error {err}");
+        let mut whole = vec![0.0; m];
+        p.symv_rows_into(&x, &mut part, 0..m).unwrap();
+        p.symv_into(&x, &mut whole).unwrap();
+        assert_eq!(part, whole);
+        assert!(p.symv_rows_into(&x[..3], &mut part, 0..m).is_err());
     }
 }

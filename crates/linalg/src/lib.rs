@@ -56,7 +56,7 @@ pub mod decomposition {
 }
 
 pub use dense::matrix::Matrix;
-pub use dense::packed::PackedSymmetric;
+pub use dense::packed::{PackedSymmetric, SymvChunks};
 pub use dense::vector::{axpy_slices, scale_add_slices, Vector};
 pub use error::{LinalgError, Result};
 pub use sparse::csr::CsrMatrix;

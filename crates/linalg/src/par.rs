@@ -59,7 +59,9 @@
 //!
 //! Beyond the chunked kernels, [`run_tasks`] exposes the pool for
 //! *coarse-grained* independent jobs (the bench runner's per-rate figure
-//! sweeps), and [`NnzChunks`] provides a work-balanced decomposition for
+//! sweeps), [`run_lockstep`] runs many small rounds of a fixed chunk
+//! decomposition as one job (the dense linear PrIU replay, a round per
+//! iteration), and [`NnzChunks`] provides a work-balanced decomposition for
 //! kernels whose per-item cost is skewed (CSR rows with heavy tails) —
 //! still shape-only, so the determinism guarantee is untouched.
 //!
@@ -721,6 +723,187 @@ where
                 .expect("run_chunks finished every task")
         })
         .collect()
+}
+
+/// Spins a lockstep participant does before it starts yielding its core
+/// while it waits for its round to open.
+const LOCKSTEP_SPINS: u32 = 1 << 12;
+
+/// Progress of one [`run_lockstep`] region, shared by its participants.
+struct Lockstep {
+    rounds: usize,
+    num_chunks: usize,
+    /// Next `(round, chunk)` claim, numbered `round · num_chunks + chunk`.
+    cursor: AtomicUsize,
+    /// Chunks finished so far, over all rounds.
+    done: AtomicUsize,
+    /// Rounds whose `finish` has run: round `t` is open once this reaches `t`.
+    open: AtomicUsize,
+    /// Set when a participant unwinds; everyone else stops waiting.
+    abort: AtomicBool,
+}
+
+impl Lockstep {
+    /// Waits (bounded spin, then yield) until round `t` is open. Returns
+    /// `false` when the region was aborted instead.
+    fn wait_open(&self, t: usize) -> bool {
+        let mut spins = 0u32;
+        loop {
+            if self.open.load(Ordering::Acquire) >= t {
+                return true;
+            }
+            if self.abort.load(Ordering::Acquire) {
+                return false;
+            }
+            if spins < LOCKSTEP_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Runs `rounds` rounds of a fixed chunk decomposition in lockstep on the
+/// persistent pool, as **one** pool job for the whole region.
+///
+/// Round `t` runs `chunk(t, c, &state, partial_c)` for every chunk
+/// `c < num_chunks`, each with its own `partials.len() / num_chunks`-value
+/// slice of `partials`, then `finish(t, &mut state, partials)` exactly
+/// once. Every chunk of round `t` happens before its `finish`, and that
+/// `finish` happens before any chunk of round `t + 1`, so chunks may read
+/// `state` freely while `finish` mutates it and reads every partial.
+///
+/// Participants (the caller plus up to `min(threads, num_chunks) − 1`
+/// workers) claim `(round, chunk)` pairs in order from one atomic cursor.
+/// A participant holding a claim of the next round waits, spinning for a
+/// bounded time and then yielding, until the round opens; whoever finishes
+/// a round's last chunk runs its `finish` and opens the next. Nobody waits
+/// on a chunk that has not been claimed, and a claimed chunk's owner never
+/// waits on anything but an open round, so the region cannot deadlock:
+/// when no worker joins (one thread, a busy pool, a call from inside a
+/// worker) the caller runs every chunk itself, and workers that join late
+/// start at the current round. What each chunk and `finish` compute never
+/// depends on who ran them, so results are a function of the inputs and
+/// `num_chunks` alone.
+///
+/// Single-chunk regions, single-thread counts and calls from inside a pool
+/// worker run inline on the calling thread and never touch the pool.
+///
+/// # Panics
+/// Panics if `num_chunks == 0` while `rounds > 0` or `partials.len()` is not
+/// a multiple of `num_chunks`; follows [`run_chunks`]'s poisoning contract
+/// for panics in `chunk` or `finish` (a participant's panic aborts the
+/// region for everyone).
+pub fn run_lockstep<S, C, F>(
+    rounds: usize,
+    num_chunks: usize,
+    state: &mut S,
+    partials: &mut [f64],
+    chunk: C,
+    mut finish: F,
+) where
+    S: Send + Sync,
+    C: Fn(usize, usize, &S, &mut [f64]) + Sync,
+    F: FnMut(usize, &mut S, &mut [f64]) + Send,
+{
+    if rounds == 0 {
+        return;
+    }
+    assert!(
+        num_chunks > 0 && partials.len().is_multiple_of(num_chunks),
+        "run_lockstep: {} partial values cannot be split over {num_chunks} chunks",
+        partials.len()
+    );
+    let width = partials.len() / num_chunks;
+    let participants = current_threads().min(num_chunks);
+    if participants <= 1 || IS_POOL_WORKER.with(|flag| flag.get()) {
+        for t in 0..rounds {
+            for (c, partial) in partials.chunks_exact_mut(width).enumerate() {
+                chunk(t, c, state, partial);
+            }
+            finish(t, state, partials);
+        }
+        return;
+    }
+
+    let region = Lockstep {
+        rounds,
+        num_chunks,
+        cursor: AtomicUsize::new(0),
+        done: AtomicUsize::new(0),
+        open: AtomicUsize::new(0),
+        abort: AtomicBool::new(false),
+    };
+    let state_ptr = SharedMut(state as *mut S);
+    let partials_len = partials.len();
+    let partials_ptr = SendPtr(partials.as_mut_ptr());
+    let finish_ptr = SharedMut(&mut finish as *mut F);
+    run_chunks(participants, |_| {
+        // Any unwind out of this participant aborts the region, so the
+        // others stop waiting for a round that will never open.
+        struct AbortOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for AbortOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+        }
+        let _abort = AbortOnUnwind(&region.abort);
+        loop {
+            let claim = region.cursor.fetch_add(1, Ordering::Relaxed);
+            if claim >= region.rounds * region.num_chunks {
+                return;
+            }
+            let (t, c) = (claim / region.num_chunks, claim % region.num_chunks);
+            if !region.wait_open(t) {
+                return;
+            }
+            // SAFETY: round `t` is open, so `finish(t − 1)` (the only
+            // writer of `state`) has completed and published with the
+            // Release store of `open`; no `finish` runs again until every
+            // chunk of round `t`, this one included, has counted itself
+            // done. Chunk `c` of the open round is claimed exactly once,
+            // so its partial slice is not aliased.
+            unsafe {
+                let partial = partials_ptr.slice(c * width, width);
+                chunk(t, c, &*state_ptr.get(), partial);
+            }
+            // AcqRel: the RMW chain on `done` carries every chunk's writes
+            // to whoever counts the round's last chunk.
+            if region.done.fetch_add(1, Ordering::AcqRel) + 1 == (t + 1) * region.num_chunks {
+                // SAFETY: every chunk of round `t` has finished and no chunk
+                // of round `t + 1` starts before the store below, so this is
+                // the only live access to `state`, `partials` and `finish`.
+                unsafe {
+                    let partials = partials_ptr.slice(0, partials_len);
+                    (*finish_ptr.get())(t, &mut *state_ptr.get(), partials);
+                }
+                region.open.store(t + 1, Ordering::Release);
+            }
+        }
+    });
+}
+
+/// A raw pointer to caller-owned data handed to [`run_lockstep`]
+/// participants; the region's round protocol serialises every mutable
+/// access through it.
+struct SharedMut<T>(*mut T);
+
+// SAFETY: shared across participants only inside `run_lockstep`, whose
+// rounds order each `&mut` access after all shared ones (`T: Send` lets
+// the exclusive access move between threads; shared access needs `T: Sync`
+// at the call site).
+unsafe impl<T: Send> Send for SharedMut<T> {}
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+impl<T> SharedMut<T> {
+    /// The pointer (a method, so closures capture the whole wrapper).
+    fn get(&self) -> *mut T {
+        self.0
+    }
 }
 
 /// Runs a map-style chunked kernel: each chunk of the decomposition fills

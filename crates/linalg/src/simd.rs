@@ -60,6 +60,7 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The instruction-set level the microkernels run at.
@@ -332,23 +333,50 @@ fn dot4_portable(r0: &[f64], r1: &[f64], r2: &[f64], r3: &[f64], x: &[f64]) -> [
 /// then `y[c] ← madd(y[c], a[r][c], x[r])` for `c > r`, then `y[r] += s`.
 ///
 /// The kernel never splits across threads, so its bits are a function of
-/// the SIMD level alone.
+/// the SIMD level alone. It is exactly [`symv_packed_rows`] over all rows.
 ///
 /// # Panics
 /// Panics if `y.len() != x.len()` or `ap.len() != m·(m+1)/2`.
 pub fn symv_packed(ap: &[f64], x: &[f64], y: &mut [f64]) {
+    symv_packed_rows(ap, x, y, 0..x.len());
+}
+
+/// The contribution of packed rows `rows` to [`symv_packed`]: `y` is
+/// overwritten with `Σ_{r ∈ rows}` of row `r`'s dot (into `y[r]`) and its
+/// mirrored column (into `y[j]`, `j > r`), so `y[..rows.start]` is zero.
+/// Each 4-row block runs exactly as in [`symv_packed`]; the short block of
+/// the last `m mod 4` rows belongs to the range that ends at `m`. Summing
+/// the partials of consecutive ranges covering `0..m` therefore reproduces
+/// the full product's terms, grouped per range; with the single range
+/// `0..m` the result is [`symv_packed`]'s, bit for bit.
+///
+/// # Panics
+/// Panics if the lengths are inconsistent (as [`symv_packed`]), or if a
+/// row bound is off the 4-row block grid: `rows.start` must be a multiple
+/// of 4, `rows.end` a multiple of 4 or `m`, and `rows.start <= rows.end <= m`.
+pub fn symv_packed_rows(ap: &[f64], x: &[f64], y: &mut [f64], rows: Range<usize>) {
     let m = x.len();
     assert!(
         y.len() == m && ap.len() == crate::dense::packed::packed_len(m),
-        "simd::symv_packed requires m(m+1)/2 packed values and x, y of length m"
+        "simd::symv_packed_rows requires m(m+1)/2 packed values and x, y of length m"
+    );
+    assert!(
+        rows.start <= rows.end
+            && rows.end <= m
+            && rows.start.is_multiple_of(4)
+            && (rows.end.is_multiple_of(4) || rows.end == m),
+        "simd::symv_packed_rows: rows {}..{} are off the 4-row block grid \
+         (start a multiple of 4, end a multiple of 4 or m = {m})",
+        rows.start,
+        rows.end
     );
     match current_level() {
-        SimdLevel::Portable => symv_packed_portable(ap, x, y),
+        SimdLevel::Portable => symv_packed_portable(ap, x, y, rows),
         SimdLevel::Avx2 => {
-            // SAFETY: see `dot`; the lengths were checked above.
+            // SAFETY: see `dot`; the lengths and bounds were checked above.
             #[cfg(target_arch = "x86_64")]
             unsafe {
-                avx2::symv_packed(ap, x, y)
+                avx2::symv_packed(ap, x, y, rows)
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
@@ -371,20 +399,20 @@ fn symv_block_offsets(m: usize, i0: usize, off: usize) -> [usize; 5] {
     ]
 }
 
-/// The last `m mod 4` rows of [`symv_packed`], starting at row `i0` whose
-/// packed offset is `off` (shared by both levels; `madd_op` is the level's
-/// multiply-add).
+/// Rows `i0..end` of [`symv_packed`] one at a time — the last `m mod 4`
+/// rows, when `end` is `m` — starting at row `i0` whose packed offset is
+/// `off` (shared by both levels; `madd_op` is the level's multiply-add).
 #[inline(always)]
 fn symv_short_block(
     ap: &[f64],
     x: &[f64],
     y: &mut [f64],
-    i0: usize,
+    (i0, end): (usize, usize),
     mut off: usize,
     madd_op: impl Fn(f64, f64, f64) -> f64,
 ) {
     let m = x.len();
-    for r in i0..m {
+    for r in i0..end {
         let row = &ap[off..off + (m - r)];
         let mut s = 0.0;
         for (k, &g) in row.iter().enumerate() {
@@ -398,11 +426,14 @@ fn symv_short_block(
     }
 }
 
-fn symv_packed_portable(ap: &[f64], x: &[f64], y: &mut [f64]) {
+fn symv_packed_portable(ap: &[f64], x: &[f64], y: &mut [f64], rows: Range<usize>) {
     let m = x.len();
     y.fill(0.0);
-    let (mut i0, mut off) = (0, 0);
-    while i0 + 4 <= m {
+    let (mut i0, mut off) = (
+        rows.start,
+        crate::dense::packed::packed_row_offset(m, rows.start),
+    );
+    while i0 + 4 <= rows.end {
         let o = symv_block_offsets(m, i0, off);
         let t = m - i0 - 4;
         let xs = [x[i0], x[i0 + 1], x[i0 + 2], x[i0 + 3]];
@@ -465,7 +496,7 @@ fn symv_packed_portable(ap: &[f64], x: &[f64], y: &mut [f64]) {
         i0 += 4;
         off = o[4];
     }
-    symv_short_block(ap, x, y, i0, off, |acc, a, b| acc + a * b);
+    symv_short_block(ap, x, y, (i0, rows.end), off, |acc, a, b| acc + a * b);
 }
 
 /// `out[j] += alpha * src[j]` over equal-length slices. Element-wise (no
@@ -779,18 +810,27 @@ mod avx2 {
         out
     }
 
-    /// See [`super::symv_packed`] for the summation order; the caller has
-    /// checked `ap.len() == m(m+1)/2` and `y.len() == x.len() == m`.
+    /// See [`super::symv_packed_rows`] for the summation order; the caller
+    /// has checked `ap.len() == m(m+1)/2`, `y.len() == x.len() == m` and
+    /// that `rows` lies on the 4-row block grid.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn symv_packed(ap: &[f64], x: &[f64], y: &mut [f64]) {
+    pub(super) unsafe fn symv_packed(
+        ap: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+        rows: std::ops::Range<usize>,
+    ) {
         let m = x.len();
         y.fill(0.0);
         let a = ap.as_ptr();
         let xp = x.as_ptr();
         let yp = y.as_mut_ptr();
         let zero = _mm256_setzero_pd();
-        let (mut i0, mut off) = (0, 0);
-        while i0 + 4 <= m {
+        let (mut i0, mut off) = (
+            rows.start,
+            crate::dense::packed::packed_row_offset(m, rows.start),
+        );
+        while i0 + 4 <= rows.end {
             let o = super::symv_block_offsets(m, i0, off);
             let t = m - i0 - 4;
             // Corner rows as four lanes over columns i0..i0+4, zero below
@@ -872,7 +912,7 @@ mod avx2 {
             i0 += 4;
             off = o[4];
         }
-        super::symv_short_block(ap, x, y, i0, off, |acc, a, b| a.mul_add(b, acc));
+        super::symv_short_block(ap, x, y, (i0, rows.end), off, |acc, a, b| a.mul_add(b, acc));
     }
 
     #[target_feature(enable = "avx2,fma")]

@@ -264,6 +264,65 @@ fn pool_lifecycle() {
     // The pool remains fully usable after the torture.
     let survived = par::with_threads(4, || a.matvec(&x).unwrap());
     assert_eq!(survived, parallel, "pool must compute the same bits after");
+
+    lockstep_regions_keep_rounds_in_order();
     par::shutdown_pool();
     assert_eq!(par::pool_workers(), 0);
+}
+
+/// A lockstep region runs every chunk of round `t` before its finish and
+/// that finish before any chunk of round `t + 1`, on the existing workers,
+/// with the same result for every thread count.
+fn lockstep_regions_keep_rounds_in_order() {
+    const ROUNDS: usize = 300;
+    const CHUNKS: usize = 4;
+    let run = |threads: usize| {
+        let workers = par::pool_workers();
+        let mut state = (0u64, Vec::new());
+        let mut partials = vec![0.0; CHUNKS * 2];
+        par::with_threads(threads, || {
+            par::run_lockstep(
+                ROUNDS,
+                CHUNKS,
+                &mut state,
+                &mut partials,
+                |t, c, state, partial| {
+                    // Round t sees exactly t finishes.
+                    assert_eq!(state.0, t as u64, "chunk ({t}, {c}) ran early");
+                    partial[0] = (t * CHUNKS + c) as f64;
+                    partial[1] = state.0 as f64 * 0.5 + c as f64;
+                },
+                |t, state, partials| {
+                    // Every chunk of this round wrote its partial.
+                    for (c, partial) in partials.chunks_exact(2).enumerate() {
+                        assert_eq!(partial[0], (t * CHUNKS + c) as f64, "round {t}");
+                    }
+                    state.0 += 1;
+                    state.1.push(partials.iter().sum::<f64>());
+                },
+            )
+        });
+        assert_eq!(
+            par::pool_workers(),
+            workers.max(threads.min(CHUNKS) - 1),
+            "a region must reuse the pool, not spawn per call"
+        );
+        state
+    };
+    let serial = run(1);
+    assert_eq!(serial.0, ROUNDS as u64);
+    for threads in [2, 4] {
+        for _ in 0..20 {
+            assert_eq!(run(threads), serial, "threads={threads}");
+        }
+    }
+    // No rounds: nothing runs.
+    par::run_lockstep(
+        0,
+        0,
+        &mut (),
+        &mut [],
+        |_, _, _, _| unreachable!(),
+        |_, _, _| unreachable!(),
+    );
 }

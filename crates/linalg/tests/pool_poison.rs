@@ -78,4 +78,67 @@ fn worker_panic_poisons_the_pool_and_shutdown_clears_it() {
     assert_eq!(par::pool_workers(), 0);
     let parallel = par::with_threads(4, || a.matvec(&x).unwrap());
     assert_eq!(serial, parallel, "restarted pool must compute correct bits");
+
+    worker_panic_inside_a_lockstep_region_poisons_the_pool();
+}
+
+/// A lockstep region is one pool job, so a chunk that panics on a worker
+/// poisons the pool under the same contract, and the participants waiting
+/// for the round it never finishes give up instead of hanging.
+fn worker_panic_inside_a_lockstep_region_poisons_the_pool() {
+    let worker_panicked = AtomicBool::new(false);
+    let mut state = 0usize;
+    let mut partials = vec![0.0; 4];
+    let result = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+        par::with_threads(4, || {
+            par::run_lockstep(
+                50,
+                4,
+                &mut state,
+                &mut partials,
+                |_t, _c, _state, _partial| {
+                    if on_worker_thread() {
+                        worker_panicked.store(true, Ordering::SeqCst);
+                        panic!("deliberate worker panic in a region");
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !par::pool_is_poisoned() && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                },
+                |_t, state, _partials| *state += 1,
+            )
+        })
+    }));
+    assert!(
+        worker_panicked.load(Ordering::SeqCst),
+        "test setup: no region chunk ever ran on a worker thread"
+    );
+    let payload = result.expect_err("a poisoned region must panic on the caller");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains("poisoned") && message.contains("deliberate worker panic in a region"),
+        "unexpected poison message: {message:?}"
+    );
+    assert!(state < 50, "the aborted region cannot have finished");
+    assert!(par::pool_is_poisoned());
+    par::shutdown_pool();
+    assert!(!par::pool_is_poisoned());
+
+    // The restarted pool runs regions again.
+    let mut state = 0usize;
+    par::with_threads(4, || {
+        par::run_lockstep(
+            50,
+            4,
+            &mut state,
+            &mut [0.0; 4],
+            |_, _, _, _| {},
+            |_, s, _| *s += 1,
+        )
+    });
+    assert_eq!(state, 50);
 }

@@ -9,7 +9,7 @@
 //! does change bits (so the per-level framing is not vacuous).
 
 use priu_linalg::simd::{self, SimdLevel};
-use priu_linalg::{par, scale_add_slices, CsrMatrix, Matrix, PackedSymmetric};
+use priu_linalg::{par, scale_add_slices, CsrMatrix, Matrix, PackedSymmetric, SymvChunks};
 use priu_rng::Rng64;
 
 fn levels() -> Vec<SimdLevel> {
@@ -262,10 +262,21 @@ const SYMV_DIMS: [usize; 11] = [1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 318];
 /// (rows 0..3 of the block, zero where `c <= r`) and the row dots. The
 /// last `m mod 4` rows run as plain sequential rows.
 fn ref_symv_packed(level: SimdLevel, a: &Matrix, x: &[f64]) -> Vec<f64> {
+    ref_symv_packed_rows(level, a, x, 0..x.len())
+}
+
+/// [`ref_symv_packed`] restricted to the rows `rows` (on the 4-row block
+/// grid): the same walk over only those rows, from a zero `y`.
+fn ref_symv_packed_rows(
+    level: SimdLevel,
+    a: &Matrix,
+    x: &[f64],
+    rows: std::ops::Range<usize>,
+) -> Vec<f64> {
     let m = x.len();
     let mut y = vec![0.0; m];
-    let mut i0 = 0;
-    while i0 + 4 <= m {
+    let mut i0 = rows.start;
+    while i0 + 4 <= rows.end {
         let upper = |r: usize, c: usize| if c >= r { a[(i0 + r, i0 + c)] } else { 0.0 };
         let mut lanes = [[0.0_f64; 4]; 4];
         for (r, row) in lanes.iter_mut().enumerate() {
@@ -298,7 +309,7 @@ fn ref_symv_packed(level: SimdLevel, a: &Matrix, x: &[f64]) -> Vec<f64> {
         }
         i0 = i1;
     }
-    for r in i0..m {
+    for r in i0..rows.end {
         let mut s = 0.0;
         for c in r..m {
             s = ref_madd(level, s, a[(r, c)], x[c]);
@@ -344,6 +355,80 @@ fn packed_symv_matches_lane_structured_reference_bitwise() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn packed_symv_rows_match_the_reference_per_chunk_bitwise() {
+    // Every range of the replay's decomposition at split widths, plus
+    // hand-picked grids that exercise interior ranges ending on a block
+    // boundary and the short block riding with the last range.
+    for level in levels() {
+        for (case, &m) in [256usize, 318, 333, 400].iter().enumerate() {
+            let a = random_symmetric(m, 0xB00 + case as u64);
+            let packed = PackedSymmetric::from_symmetric(&a).unwrap();
+            let x = random_vec(m, 0xB80 + case as u64);
+            let chunks = SymvChunks::new(m);
+            assert!(chunks.count() > 1, "m={m} must split");
+            let mut ranges: Vec<_> = (0..chunks.count()).map(|c| chunks.rows(c)).collect();
+            ranges.extend([0..4, 4..m - m % 4, 8..8, m - m % 4..m, 0..m]);
+            for rows in ranges {
+                let want = ref_symv_packed_rows(level, &a, &x, rows.clone());
+                let mut got = vec![f64::NAN; m];
+                simd::with_level(level, || {
+                    packed.symv_rows_into(&x, &mut got, rows.clone()).unwrap()
+                });
+                assert_eq!(got, want, "m={m} rows {rows:?} ({level})");
+            }
+        }
+        // A single range is the whole product, bit for bit (and the one
+        // range of every unsplit width is all of its rows).
+        for &m in &SYMV_DIMS {
+            let a = random_symmetric(m, 0xC00 + m as u64);
+            let packed = PackedSymmetric::from_symmetric(&a).unwrap();
+            let x = random_vec(m, 0xC80 + m as u64);
+            let chunks = SymvChunks::new(m);
+            if chunks.count() == 1 {
+                assert_eq!(chunks.rows(0), 0..m);
+            }
+            let (mut whole, mut part) = (vec![0.0; m], vec![0.0; m]);
+            simd::with_level(level, || {
+                simd::symv_packed(packed.as_slice(), &x, &mut whole);
+                simd::symv_packed_rows(packed.as_slice(), &x, &mut part, 0..m);
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&part), bits(&whole), "m={m} ({level})");
+        }
+    }
+}
+
+#[test]
+fn packed_symv_rows_reject_bounds_off_the_block_grid() {
+    let m = 10;
+    let ap = vec![1.0; m * (m + 1) / 2];
+    let x = vec![1.0; m];
+    for level in levels() {
+        #[allow(clippy::reversed_empty_ranges)] // 8..4 is a deliberate bad input
+        for rows in [1..8, 0..6, 8..4, 8..11] {
+            let payload = std::panic::catch_unwind(|| {
+                let mut y = vec![0.0; m];
+                simd::with_level(level, || {
+                    simd::symv_packed_rows(&ap, &x, &mut y, rows.clone())
+                })
+            })
+            .expect_err("an off-grid row range must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.contains("symv_packed_rows") && message.contains("4-row block grid"),
+                "rows {rows:?}: unexpected message {message:?}"
+            );
+        }
+        // The grid itself is accepted, including an end at m.
+        let mut y = vec![0.0; m];
+        simd::with_level(level, || simd::symv_packed_rows(&ap, &x, &mut y, 4..m));
     }
 }
 
