@@ -680,6 +680,79 @@ fn bench_simd_grid(c: &mut Criterion) {
         }
     }
 
+    // The Gram kernel behind every provenance capture, packed, one thread:
+    // deflation Grams of a few removed rows at the serve-session widths
+    // (m = 8, 32), a serve-session batch (50 x 8), a `paper-linear` batch
+    // (200 x 318) and its full-data Gram (5000 x 318).
+    for (n, m) in [
+        (1usize, 8usize),
+        (4, 8),
+        (1, 32),
+        (4, 32),
+        (50, 8),
+        (200, 318),
+        (5000, 318),
+    ] {
+        let a = random_matrix(n, m, 49);
+        let ones = vec![1.0; n];
+        let mut out = priu_linalg::PackedSymmetric::default();
+        let shape = format!("{n}x{m}");
+        for &(level, name) in &levels {
+            group.bench_function(BenchmarkId::new(format!("gram_{name}"), &shape), |b| {
+                b.iter(|| {
+                    simd::with_level(level, || {
+                        par::with_threads(1, || {
+                            a.weighted_gram_packed_into(Some(black_box(&ones)), &mut out)
+                        })
+                    })
+                })
+            });
+        }
+    }
+
+    // Training with provenance capture at the `paper-linear` shape (5000 x
+    // 318, B = 200, tau = 100, dense caches, no PrIU-opt capture): the SGD
+    // recursion, then one pool region building the 100 batch Grams, on 1
+    // vs 2 threads (identical bits either way).
+    {
+        use priu_core::trainer::linear::train_linear;
+        use priu_core::{Compression, TrainerConfig};
+        use priu_data::catalog::Hyperparameters;
+        use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+
+        let data = generate_regression(&RegressionConfig {
+            num_samples: 5000,
+            num_features: 318,
+            noise_std: 0.1,
+            seed: 48,
+            ..Default::default()
+        });
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 200,
+            num_iterations: 100,
+            learning_rate: 0.001,
+            regularization: 0.01,
+        })
+        .with_opt_capture(false)
+        .with_compression(Compression::None);
+        for &(level, name) in &levels {
+            for threads in [1usize, 2] {
+                group.bench_function(
+                    BenchmarkId::new(format!("train_capture_m318_{name}"), format!("{threads}t")),
+                    |b| {
+                        b.iter(|| {
+                            simd::with_level(level, || {
+                                par::with_threads(threads, || {
+                                    train_linear(black_box(&data), &config).unwrap()
+                                })
+                            })
+                        })
+                    },
+                );
+            }
+        }
+    }
+
     // The dense linear PrIU replay at the `paper-linear` shape (5000 x 318,
     // B = 200, tau = 100: 40 MB of packed Grams, streamed from memory): the
     // packed Gram splits into two row ranges, run as one lockstep region

@@ -4,19 +4,49 @@
 //! excluding the removed samples from each mini-batch". These routines do
 //! exactly that: they replay the *same* deterministic batch schedule as the
 //! original training run (taken from the captured provenance) with the
-//! removal set filtered out of every batch, and they do **not** capture any
-//! provenance — this is the cost PrIU is compared against.
+//! removal set filtered out of every batch, run each surviving batch through
+//! the trainer's own mb-SGD step, and do **not** capture any provenance —
+//! this is the cost PrIU is compared against. With nothing removed, a
+//! retrain reproduces the trained model bit for bit.
 
 use priu_data::dataset::{DenseDataset, Labels, SparseDataset};
-use priu_linalg::Vector;
+use priu_data::minibatch::BatchSchedule;
 
 use crate::capture::{LinearProvenance, LogisticProvenance};
 use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::{Model, ModelKind};
+use crate::trainer::linear::linear_step;
+use crate::trainer::logistic::{binary_logistic_step, multinomial_logistic_step};
 use crate::trainer::sparse::SparseLogisticProvenance;
 use crate::update::{normalize_removed, removed_positions_into};
 use crate::workspace::Workspace;
+
+/// Replays `schedule` with the (normalised) `removed` samples filtered out
+/// of every batch: each iteration's survivors are staged in `ws.batch`, in
+/// batch order, and handed to `step` — empty when the removal emptied the
+/// batch. Membership is one bitmap test per batch member.
+fn for_surviving_batches(
+    schedule: &BatchSchedule,
+    removed: &[usize],
+    ws: &mut Workspace,
+    mut step: impl FnMut(&mut Workspace) -> Result<()>,
+) -> Result<()> {
+    let mut mask = vec![0_u64; removed.last().map_or(0, |&r| r / 64 + 1)];
+    for &r in removed {
+        mask[r / 64] |= 1 << (r % 64);
+    }
+    let kept = |i: usize| {
+        mask.get(i / 64)
+            .is_none_or(|word| word >> (i % 64) & 1 == 0)
+    };
+    for t in 0..schedule.num_iterations() {
+        schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
+        ws.batch.retain(|&i| kept(i));
+        step(ws)?;
+    }
+    Ok(())
+}
 
 /// Retrains a linear-regression model from scratch on the surviving samples.
 ///
@@ -27,6 +57,22 @@ pub fn retrain_linear(
     provenance: &LinearProvenance,
     removed: &[usize],
 ) -> Result<Model> {
+    retrain_linear_with(dataset, provenance, removed, &mut Workspace::new())
+}
+
+/// Like [`retrain_linear`], reusing a caller-owned [`Workspace`]: every
+/// surviving batch runs the trainer's own GD step (no capture), so an empty
+/// removal reproduces the trained model bitwise and a warm workspace makes
+/// the loop allocation-free.
+///
+/// # Errors
+/// See [`retrain_linear`].
+pub fn retrain_linear_with(
+    dataset: &DenseDataset,
+    provenance: &LinearProvenance,
+    removed: &[usize],
+    ws: &mut Workspace,
+) -> Result<Model> {
     let y = match &dataset.labels {
         Labels::Continuous(y) => y,
         _ => {
@@ -36,28 +82,15 @@ pub fn retrain_linear(
         }
     };
     let removed = normalize_removed(dataset.num_samples(), removed)?;
-    let eta = provenance.learning_rate;
-    let lambda = provenance.regularization;
-    let m = dataset.num_features();
+    let (eta, lambda) = (provenance.learning_rate, provenance.regularization);
     let mut w = provenance.initial_model.weight().clone();
-
-    for t in 0..provenance.schedule.num_iterations() {
-        let (batch, b_u) = provenance.schedule.batch_excluding(t, &removed);
-        if b_u == 0 {
+    for_surviving_batches(&provenance.schedule, &removed, ws, |ws| {
+        if ws.batch.is_empty() {
             w.scale_mut(1.0 - eta * lambda);
-            continue;
+            return Ok(());
         }
-        let mut grad = Vector::zeros(m);
-        for &i in &batch {
-            let row = dataset.x.row(i);
-            let residual: f64 = row.iter().zip(w.iter()).map(|(a, b)| a * b).sum::<f64>() - y[i];
-            for (j, &v) in row.iter().enumerate() {
-                grad[j] += v * residual;
-            }
-        }
-        w.scale_mut(1.0 - eta * lambda);
-        w.axpy(-2.0 * eta / b_u as f64, &grad)?;
-    }
+        linear_step(&dataset.x, y, &mut w, eta, lambda, ws)
+    })?;
     Model::new(ModelKind::Linear, vec![w])
 }
 
@@ -71,6 +104,20 @@ pub fn retrain_binary_logistic(
     provenance: &LogisticProvenance,
     removed: &[usize],
 ) -> Result<Model> {
+    retrain_binary_logistic_with(dataset, provenance, removed, &mut Workspace::new())
+}
+
+/// Like [`retrain_binary_logistic`], reusing a caller-owned [`Workspace`]
+/// (the trainer's exact step per surviving batch, no capture).
+///
+/// # Errors
+/// See [`retrain_binary_logistic`].
+pub fn retrain_binary_logistic_with(
+    dataset: &DenseDataset,
+    provenance: &LogisticProvenance,
+    removed: &[usize],
+    ws: &mut Workspace,
+) -> Result<Model> {
     let y = match &dataset.labels {
         Labels::Binary(y) => y,
         _ => {
@@ -80,29 +127,15 @@ pub fn retrain_binary_logistic(
         }
     };
     let removed = normalize_removed(dataset.num_samples(), removed)?;
-    let eta = provenance.learning_rate;
-    let lambda = provenance.regularization;
-    let m = dataset.num_features();
+    let (eta, lambda) = (provenance.learning_rate, provenance.regularization);
     let mut w = provenance.initial_model.weight().clone();
-
-    for t in 0..provenance.schedule.num_iterations() {
-        let (batch, b_u) = provenance.schedule.batch_excluding(t, &removed);
-        if b_u == 0 {
+    for_surviving_batches(&provenance.schedule, &removed, ws, |ws| {
+        if ws.batch.is_empty() {
             w.scale_mut(1.0 - eta * lambda);
-            continue;
+            return Ok(());
         }
-        let mut acc = Vector::zeros(m);
-        for &i in &batch {
-            let row = dataset.x.row(i);
-            let margin: f64 = y[i] * row.iter().zip(w.iter()).map(|(a, b)| a * b).sum::<f64>();
-            let coeff = y[i] * PiecewiseLinearSigmoid::exact(margin);
-            for (j, &v) in row.iter().enumerate() {
-                acc[j] += coeff * v;
-            }
-        }
-        w.scale_mut(1.0 - eta * lambda);
-        w.axpy(eta / b_u as f64, &acc)?;
-    }
+        binary_logistic_step(&dataset.x, y, &mut w, eta, lambda, None, ws).map(drop)
+    })?;
     Model::new(ModelKind::BinaryLogistic, vec![w])
 }
 
@@ -116,6 +149,21 @@ pub fn retrain_multinomial_logistic(
     provenance: &LogisticProvenance,
     removed: &[usize],
 ) -> Result<Model> {
+    retrain_multinomial_logistic_with(dataset, provenance, removed, &mut Workspace::new())
+}
+
+/// Like [`retrain_multinomial_logistic`], reusing a caller-owned
+/// [`Workspace`] (the trainer's exact step per surviving batch, no
+/// capture).
+///
+/// # Errors
+/// See [`retrain_multinomial_logistic`].
+pub fn retrain_multinomial_logistic_with(
+    dataset: &DenseDataset,
+    provenance: &LogisticProvenance,
+    removed: &[usize],
+    ws: &mut Workspace,
+) -> Result<Model> {
     let (classes, q) = match &dataset.labels {
         Labels::Multiclass {
             classes,
@@ -128,40 +176,18 @@ pub fn retrain_multinomial_logistic(
         }
     };
     let removed = normalize_removed(dataset.num_samples(), removed)?;
-    let eta = provenance.learning_rate;
-    let lambda = provenance.regularization;
-    let mut weights: Vec<Vector> = provenance.initial_model.weights().to_vec();
-
-    for t in 0..provenance.schedule.num_iterations() {
-        let (batch, b_u) = provenance.schedule.batch_excluding(t, &removed);
-        if b_u == 0 {
+    let (eta, lambda) = (provenance.learning_rate, provenance.regularization);
+    let mut weights = provenance.initial_model.weights().to_vec();
+    for_surviving_batches(&provenance.schedule, &removed, ws, |ws| {
+        if ws.batch.is_empty() {
             for w in &mut weights {
                 w.scale_mut(1.0 - eta * lambda);
             }
-            continue;
+            return Ok(());
         }
-        let rows = dataset.x.select_rows(&batch);
-        let logits: Vec<Vector> = weights
-            .iter()
-            .map(|wk| rows.matvec(wk))
-            .collect::<std::result::Result<_, _>>()?;
-        let mut new_weights = Vec::with_capacity(q);
-        for k in 0..q {
-            let mut coeffs = Vec::with_capacity(batch.len());
-            for (pos, &i) in batch.iter().enumerate() {
-                let max = (0..q).fold(f64::NEG_INFINITY, |acc, c| acc.max(logits[c][pos]));
-                let sum: f64 = (0..q).map(|c| (logits[c][pos] - max).exp()).sum();
-                let p = (logits[k][pos] - max).exp() / sum;
-                let indicator = if classes[i] as usize == k { 1.0 } else { 0.0 };
-                coeffs.push(p - indicator);
-            }
-            let grad = rows.transpose_matvec(&Vector::from_vec(coeffs))?;
-            let mut wk = weights[k].scaled(1.0 - eta * lambda);
-            wk.axpy(-eta / b_u as f64, &grad)?;
-            new_weights.push(wk);
-        }
-        weights = new_weights;
-    }
+        multinomial_logistic_step(&dataset.x, classes, q, &mut weights, eta, lambda, None, ws)
+            .map(drop)
+    })?;
     Model::new(ModelKind::MultinomialLogistic { num_classes: q }, weights)
 }
 
@@ -286,8 +312,8 @@ mod tests {
         });
         let trained = train_linear(&data, &config()).unwrap();
         let retrained = retrain_linear(&data, &trained.provenance, &[]).unwrap();
-        let diff = (&trained.model.flatten() - &retrained.flatten()).norm_inf();
-        assert!(diff < 1e-10, "difference {diff}");
+        // BaseL runs the trainer's own step, so nothing removed is training.
+        assert_eq!(trained.model, retrained);
     }
 
     #[test]
@@ -302,8 +328,7 @@ mod tests {
         cfg.hyper.learning_rate = 0.3;
         let trained = train_binary_logistic(&data, &cfg).unwrap();
         let retrained = retrain_binary_logistic(&data, &trained.provenance, &[]).unwrap();
-        let diff = (&trained.model.flatten() - &retrained.flatten()).norm_inf();
-        assert!(diff < 1e-10, "difference {diff}");
+        assert_eq!(trained.model, retrained);
     }
 
     #[test]

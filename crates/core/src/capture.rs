@@ -77,6 +77,27 @@ impl GramCache {
         }
     }
 
+    /// Like [`GramCache::build`], writing into `self`: a dense cache keeps
+    /// its storage and is refilled in place (bitwise what `build` returns);
+    /// any other pairing is replaced by a freshly built cache.
+    ///
+    /// # Errors
+    /// Propagates factorisation failures.
+    pub(crate) fn build_into(
+        &mut self,
+        rows: &Matrix,
+        coefficients: &[f64],
+        compression: Compression,
+    ) -> Result<()> {
+        match (compression.resolve(rows.ncols()), &mut *self) {
+            (Compression::None | Compression::Auto, GramCache::Dense(g)) => {
+                rows.weighted_gram_packed_into(Some(coefficients), g);
+            }
+            _ => *self = GramCache::build(rows, coefficients, compression)?,
+        }
+        Ok(())
+    }
+
     /// Applies the cached operator to a parameter vector: one pass over the
     /// `m(m+1)/2` packed values (dense) or `O(r·m)` (truncated).
     ///
@@ -235,6 +256,26 @@ pub struct LinearIterationCache {
     pub xy: Vector,
     /// Batch size `B^{(t)}`.
     pub batch_size: usize,
+}
+
+impl LinearIterationCache {
+    /// Storage for one iteration's cache over `m` features, allocated but
+    /// not yet filled: for a dense Gram, room for its packed values.
+    /// [`crate::trainer::linear`]'s capture fills it in place, so the thread
+    /// that allocates the storage need not be the one that computes it.
+    pub(crate) fn storage(m: usize, compression: Compression) -> Self {
+        let gram = match compression.resolve(m) {
+            Compression::None | Compression::Auto => {
+                GramCache::Dense(PackedSymmetric::with_capacity(m))
+            }
+            _ => GramCache::Truncated(TruncatedGram::empty(m)),
+        };
+        Self {
+            gram,
+            xy: Vector::zeros(m),
+            batch_size: 0,
+        }
+    }
 }
 
 /// Per-iteration, per-class cache for (linearised) logistic regression

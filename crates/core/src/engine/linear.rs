@@ -10,7 +10,7 @@ use crate::baseline::closed_form::{
     closed_form_delta_with, closed_form_incremental_with, ClosedFormCapture,
 };
 use crate::baseline::influence::influence_update;
-use crate::baseline::retrain::retrain_linear;
+use crate::baseline::retrain::retrain_linear_with;
 use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, ProvenanceMemory};
 use crate::config::TrainerConfig;
 use crate::engine::{
@@ -24,7 +24,9 @@ use crate::snapshot::{
     put_closed_form, put_dense_dataset, put_linear_provenance, put_model, put_trainer_config,
     SnapshotReader, SnapshotWriter,
 };
-use crate::trainer::linear::{linear_step, train_linear_with, TrainedLinear};
+use crate::trainer::linear::{
+    capture_linear_iteration, linear_step, train_linear_with, TrainedLinear,
+};
 use crate::update::priu_linear::priu_update_linear_with;
 use crate::update::priu_opt_linear::priu_opt_update_linear_with;
 use crate::update::{normalize_removed, removed_positions};
@@ -76,13 +78,20 @@ impl LinearEngine {
         }
         let start = Instant::now();
         let trained = train_linear_with(&dataset, &config, &mut ws)?;
-        let closed_form = if capture_closed_form {
-            Some(ClosedFormCapture::build(
+        let closed_form = match (capture_closed_form, &trained.provenance.opt) {
+            (false, _) => None,
+            // The PrIU-opt capture already formed `XᵀX` (left in `ws.mm0`)
+            // and `XᵀY`: the views take those instead of forming them again.
+            (true, Some(opt)) => Some(ClosedFormCapture {
+                xtx: std::mem::take(&mut ws.mm0),
+                xty: opt.xty.clone(),
+                num_samples: dataset.num_samples(),
+                regularization: config.hyper.regularization,
+            }),
+            (true, None) => Some(ClosedFormCapture::build(
                 &dataset,
                 config.hyper.regularization,
-            )?)
-        } else {
-            None
+            )?),
         };
         Ok(Self {
             dataset,
@@ -204,9 +213,9 @@ impl LinearEngine {
 
     /// Runs the appended explicit-batch GD steps over `added`, chunked by
     /// the schedule's batch size, warm-started from `w` (mutated in place).
-    /// When `captures` is provided, one iteration cache per appended batch
-    /// is collected (the apply path); without it the warm path allocates
-    /// nothing per step.
+    /// When `captures` is provided, each appended batch's iteration cache is
+    /// captured after its step (the apply path); without it the warm path
+    /// allocates nothing per step.
     fn addition_steps(
         &self,
         added: &DenseDataset,
@@ -223,16 +232,11 @@ impl LinearEngine {
         for batch in appended_batches(0, added.num_samples(), provenance.schedule.batch_size()) {
             ws.batch.clear();
             ws.batch.extend_from_slice(&batch);
-            let cache = linear_step(
-                &added.x,
-                y,
-                w,
-                eta,
-                lambda,
-                captures.as_ref().map(|_| self.config.compression),
-                ws,
-            )?;
-            if let (Some(caps), Some(cache)) = (captures.as_deref_mut(), cache) {
+            linear_step(&added.x, y, w, eta, lambda, ws)?;
+            if let Some(caps) = captures.as_deref_mut() {
+                let compression = self.config.compression;
+                let mut cache = LinearIterationCache::storage(added.num_features(), compression);
+                capture_linear_iteration(&added.x, y, compression, ws, &mut cache)?;
                 caps.push(cache);
             }
         }
@@ -267,9 +271,13 @@ impl LinearEngine {
     fn removal_update(&self, method: Method, removed: &[usize]) -> Result<UpdateOutcome> {
         let num_removed = normalize_removed(self.num_samples(), removed)?.len();
         match method {
-            Method::Retrain => timed_update(method, num_removed, 0, || {
-                retrain_linear(&self.dataset, &self.trained.provenance, removed)
-            }),
+            Method::Retrain => {
+                // Retraining stages surviving batch members only.
+                let mut ws = self.sized_workspace(0);
+                timed_update(method, num_removed, 0, || {
+                    retrain_linear_with(&self.dataset, &self.trained.provenance, removed, &mut ws)
+                })
+            }
             Method::Priu => {
                 // The workspace is sized before the timer starts, so the
                 // timed region measures pure replay work.
@@ -534,5 +542,46 @@ impl DeletionEngine for LinearEngine {
             outcome,
             session: Session::Linear(successor),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use priu_data::catalog::Hyperparameters;
+    use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+
+    #[test]
+    fn closed_form_views_reuse_the_opt_capture_gram_bitwise() {
+        // With both captures on, the views take the trainer's `XᵀX` and
+        // `XᵀY` instead of forming them again; either way they are the
+        // views `ClosedFormCapture::build` forms, bit for bit.
+        let data = generate_regression(&RegressionConfig {
+            num_samples: 700,
+            num_features: 9,
+            seed: 31,
+            ..Default::default()
+        });
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 40,
+            num_iterations: 20,
+            learning_rate: 0.05,
+            regularization: 0.02,
+        });
+        let expected = ClosedFormCapture::build(&data, config.hyper.regularization).unwrap();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for capture_opt in [true, false] {
+            let engine =
+                LinearEngine::fit(data.clone(), config.with_opt_capture(capture_opt)).unwrap();
+            assert_eq!(engine.trained.provenance.opt.is_some(), capture_opt);
+            let views = engine.closed_form.as_ref().unwrap();
+            assert_eq!(bits(views.xtx.as_slice()), bits(expected.xtx.as_slice()));
+            assert_eq!(bits(views.xty.as_slice()), bits(expected.xty.as_slice()));
+            assert_eq!(views.num_samples, expected.num_samples);
+            assert_eq!(
+                views.regularization.to_bits(),
+                expected.regularization.to_bits()
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@ use priu_data::dataset::{DenseDataset, TaskKind};
 use priu_linalg::Vector;
 
 use crate::baseline::influence::influence_update;
-use crate::baseline::retrain::{retrain_binary_logistic, retrain_multinomial_logistic};
+use crate::baseline::retrain::{retrain_binary_logistic_with, retrain_multinomial_logistic_with};
 use crate::capture::{
     ClassIterationCache, LogisticIterationCache, LogisticProvenance, ProvenanceMemory,
 };
@@ -149,13 +149,14 @@ impl LogisticEngine {
         ws
     }
 
-    fn retrain(&self, removed: &[usize]) -> Result<Model> {
+    fn retrain(&self, removed: &[usize], ws: &mut Workspace) -> Result<Model> {
+        let provenance = &self.trained.provenance;
         match self.dataset.task() {
             TaskKind::BinaryClassification => {
-                retrain_binary_logistic(&self.dataset, &self.trained.provenance, removed)
+                retrain_binary_logistic_with(&self.dataset, provenance, removed, ws)
             }
             TaskKind::MulticlassClassification { .. } => {
-                retrain_multinomial_logistic(&self.dataset, &self.trained.provenance, removed)
+                retrain_multinomial_logistic_with(&self.dataset, provenance, removed, ws)
             }
             TaskKind::Regression => unreachable!("logistic sessions never hold regression labels"),
         }
@@ -228,8 +229,7 @@ impl LogisticEngine {
                         &mut weights[0],
                         eta,
                         lambda,
-                        interp,
-                        captures.as_ref().map(|_| self.config.compression),
+                        captures.as_ref().map(|_| (interp, self.config.compression)),
                         ws,
                     )?;
                     if let (Some(caps), Some(cache)) = (captures.as_deref_mut(), cache) {
@@ -252,8 +252,7 @@ impl LogisticEngine {
                         weights,
                         eta,
                         lambda,
-                        interp,
-                        captures.as_ref().map(|_| self.config.compression),
+                        captures.as_ref().map(|_| (interp, self.config.compression)),
                         ws,
                     )?;
                     if let (Some(caps), Some(cache)) = (captures.as_deref_mut(), cache) {
@@ -278,7 +277,11 @@ impl LogisticEngine {
     fn removal_update(&self, method: Method, removed: &[usize]) -> Result<UpdateOutcome> {
         let num_removed = normalize_removed(self.num_samples(), removed)?.len();
         match method {
-            Method::Retrain => timed_update(method, num_removed, 0, || self.retrain(removed)),
+            Method::Retrain => {
+                // Retraining stages surviving batch members only.
+                let mut ws = self.sized_workspace(0);
+                timed_update(method, num_removed, 0, || self.retrain(removed, &mut ws))
+            }
             Method::Priu => {
                 // The workspace is sized before the timer starts, so the
                 // timed region measures pure replay work.

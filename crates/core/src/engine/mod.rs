@@ -1302,4 +1302,41 @@ mod tests {
         let cmp = compare_models(&retrain.model, &priu.model).unwrap();
         assert!(cmp.cosine_similarity > 0.99);
     }
+
+    #[test]
+    fn retraining_nothing_returns_the_fitted_model_bitwise() {
+        // BaseL runs the trainer's own step on every surviving batch, so
+        // with nothing removed it replays training exactly — on each SIMD
+        // level, for every dense engine family.
+        let multinomial = || {
+            let data = generate_multiclass_classification(&ClassificationConfig {
+                num_samples: 300,
+                num_features: 7,
+                num_classes: 3,
+                separation: 3.0,
+                seed: 13,
+                ..Default::default()
+            });
+            let mut h = hyper();
+            h.learning_rate = 0.3;
+            SessionBuilder::dense(data, TrainerConfig::from_hyper(h))
+                .fit()
+                .unwrap()
+        };
+        let bits =
+            |model: &Model| -> Vec<u64> { model.flatten().iter().map(|v| v.to_bits()).collect() };
+        for level in priu_linalg::simd::available_levels() {
+            priu_linalg::simd::with_level(level, || {
+                for session in [linear_session(), binary_session(), multinomial()] {
+                    let retrained = session.update(Method::Retrain, &[]).unwrap();
+                    assert_eq!(
+                        bits(&retrained.model),
+                        bits(session.model()),
+                        "{:?} ({level})",
+                        session.task()
+                    );
+                }
+            });
+        }
+    }
 }

@@ -1,11 +1,14 @@
 //! Linear-regression training (Eq. 5) with provenance capture (§5.1, §5.2).
 
+use std::sync::{Mutex, PoisonError};
+
 use priu_data::dataset::{DenseDataset, Labels};
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
-use priu_linalg::{Matrix, Vector};
+use priu_linalg::dense::packed::packed_len;
+use priu_linalg::{par, Matrix, Vector};
 
-use crate::capture::{GramCache, LinearIterationCache, LinearOptCapture, LinearProvenance};
+use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance};
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
@@ -14,23 +17,20 @@ use crate::workspace::Workspace;
 /// Runs one mb-SGD step (Eq. 5) on the batch currently staged in
 /// `ws.batch`, selecting rows from `x`/`y` and mutating `w` in place. This
 /// is the *single* definition of the linear GD step: the trainer loop calls
-/// it per scheduled iteration, and the delta engine calls it for appended
-/// explicit batches — so appended-iteration replays agree with training by
-/// construction.
-///
-/// With `capture` set the iteration's provenance (Gram cache + moment
-/// vector) is built and returned — that storage allocates by design. With
-/// `None` the step touches only workspace buffers, so a warm workspace makes
-/// it allocation-free (the delta engine's model-only addition fast path).
+/// it per scheduled iteration, BaseL's retraining per surviving batch, and
+/// the delta engine for appended explicit batches — so replays agree with
+/// training by construction. The step touches only workspace buffers, so a
+/// warm workspace makes it allocation-free. The iteration's provenance is
+/// built separately by [`capture_linear_iteration`]: it never feeds back
+/// into `w`.
 pub(crate) fn linear_step(
     x: &Matrix,
     y: &Vector,
     w: &mut Vector,
     eta: f64,
     lambda: f64,
-    capture: Option<Compression>,
     ws: &mut Workspace,
-) -> Result<Option<LinearIterationCache>> {
+) -> Result<()> {
     let m = x.ncols();
     let b = ws.batch.len();
     ws.select_batch_rows(x);
@@ -40,7 +40,6 @@ pub(crate) fn linear_step(
         batch,
         rows,
         b0: residuals,
-        b1: y_batch,
         m0: grad,
         ..
     } = ws;
@@ -48,28 +47,106 @@ pub(crate) fn linear_step(
     // Gradient step: w ← (1-ηλ) w − (2η/B) Σ x_i (x_iᵀ w − y_i).
     rows.matvec_into(w, residuals)?;
     for (pos, &i) in batch.iter().enumerate() {
-        y_batch[pos] = y[i];
         residuals[pos] -= y[i];
     }
     rows.transpose_matvec_into(residuals, grad)?;
     // Fused parameter step (bitwise identical to scale_mut + axpy on
     // every SIMD level — one pass over w instead of two).
     w.scale_add(1.0 - eta * lambda, -2.0 * eta / b as f64, grad)?;
+    Ok(())
+}
 
-    let Some(compression) = capture else {
-        return Ok(None);
+/// Captures the provenance of the batch staged in `ws.batch` (Eq. 13/14)
+/// into `cache`: the batch Gram `Σ x_i x_iᵀ` (compressed as configured),
+/// the moment vector `Σ x_i y_i` and the batch size. The rows and labels
+/// are staged in `ws`, and a dense Gram is written into the cache's own
+/// storage (see [`LinearIterationCache::storage`]). Linear captures depend
+/// on the batch alone, never on `w`, so they may run in any order and on
+/// any thread.
+pub(crate) fn capture_linear_iteration(
+    x: &Matrix,
+    y: &Vector,
+    compression: Compression,
+    ws: &mut Workspace,
+    cache: &mut LinearIterationCache,
+) -> Result<()> {
+    let b = ws.batch.len();
+    ws.select_batch_rows(x);
+    ws.prepare_batch(b);
+    let Workspace {
+        batch,
+        rows,
+        b1: y_batch,
+        b2: ones,
+        ..
+    } = ws;
+    for (pos, &i) in batch.iter().enumerate() {
+        y_batch[pos] = y[i];
+    }
+    rows.transpose_matvec_into(y_batch, cache.xy.as_mut_slice())?;
+    ones.fill(1.0);
+    cache.gram.build_into(rows, ones, compression)?;
+    cache.batch_size = b;
+    Ok(())
+}
+
+/// Capture work (batch rows × packed Gram entries, summed over the
+/// iterations) below which the capture region runs on the calling thread
+/// alone: so little work costs less than waking a pool worker, and small
+/// fits (the serve sessions') never start the pool for it.
+const CAPTURE_REGION_MIN_WORK: usize = 1 << 20;
+
+/// Captures every scheduled iteration of `schedule` over `x`/`y` in one
+/// `par::run_chunks` region over the iteration indices. Each cache is
+/// built whole on one thread, so its bits do not depend on the thread
+/// count. The calling thread allocates every cache's storage up front, so
+/// the session's provenance lands in its allocator arena whichever thread
+/// fills it. Every participating thread stages its rows in one of a fixed
+/// set of pre-sized workspaces, taken for a task and returned after it, so
+/// the region's staging memory (and allocation count) is a function of the
+/// thread count alone.
+fn capture_linear_iterations(
+    x: &Matrix,
+    y: &Vector,
+    schedule: &BatchSchedule,
+    compression: Compression,
+) -> Result<Vec<LinearIterationCache>> {
+    let (iterations, m, b) = (schedule.num_iterations(), x.ncols(), schedule.batch_size());
+    let slots: Vec<Mutex<Result<LinearIterationCache>>> = (0..iterations)
+        .map(|_| Mutex::new(Ok(LinearIterationCache::storage(m, compression))))
+        .collect();
+    let sized = || Workspace::sized_for(m, b, 1);
+    let threads = if iterations * b * packed_len(m) < CAPTURE_REGION_MIN_WORK {
+        1
+    } else {
+        par::current_threads()
     };
-    // Provenance capture for this iteration (allocates: it is storage).
-    let xy = rows.transpose_matvec(y_batch)?;
-    let b2 = &mut ws.b2;
-    b2.clear();
-    b2.resize(b, 1.0);
-    let gram = GramCache::build(&ws.rows, b2, compression)?;
-    Ok(Some(LinearIterationCache {
-        gram,
-        xy,
-        batch_size: b,
-    }))
+    let spare = Mutex::new(
+        (0..threads.min(iterations))
+            .map(|_| sized())
+            .collect::<Vec<_>>(),
+    );
+    par::with_threads(threads, || {
+        par::run_chunks(iterations, |t| {
+            let taken = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            let mut ws = taken.unwrap_or_else(sized);
+            schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
+            let mut slot = slots[t].lock().unwrap_or_else(PoisonError::into_inner);
+            if let Ok(cache) = &mut *slot {
+                if let Err(e) = capture_linear_iteration(x, y, compression, &mut ws, cache) {
+                    *slot = Err(e);
+                }
+            }
+            spare
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(ws);
+        })
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
 }
 
 /// The result of training a linear-regression model with provenance capture.
@@ -99,8 +176,13 @@ pub fn train_linear(dataset: &DenseDataset, config: &TrainerConfig) -> Result<Tr
 
 /// Like [`train_linear`], reusing a caller-owned [`Workspace`]: once the
 /// buffers are warm, the GD step itself performs no heap allocation per
-/// iteration (provenance capture storage still allocates — it outlives the
-/// loop by design).
+/// iteration. The per-iteration captures run after the recursion, in one
+/// pool region (see DESIGN.md §3.3); their storage allocates — it outlives
+/// the loop by design.
+///
+/// With `config.capture_opt` set, `ws.mm0` holds `XᵀX` on return — the
+/// matrix the PrIU-opt eigendecomposition factorised — so a caller that
+/// needs the full Gram as well can take it instead of forming it again.
 ///
 /// # Errors
 /// See [`train_linear`].
@@ -128,30 +210,21 @@ pub fn train_linear_with(
 
     let initial_model = Model::zeros(ModelKind::Linear, m);
     let mut w = Vector::zeros(m);
-    let mut iterations = Vec::with_capacity(hyper.num_iterations);
 
     for t in 0..hyper.num_iterations {
         schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
-        let cache = linear_step(
-            &dataset.x,
-            y,
-            &mut w,
-            eta,
-            lambda,
-            Some(config.compression),
-            ws,
-        )?
-        .expect("capture was requested");
+        linear_step(&dataset.x, y, &mut w, eta, lambda, ws)?;
         if t % 32 == 0 && !w.is_finite() {
             return Err(CoreError::Diverged { iteration: t });
         }
-        iterations.push(cache);
     }
     if !w.is_finite() {
         return Err(CoreError::Diverged {
             iteration: hyper.num_iterations,
         });
     }
+    // The provenance of every iteration, captured after the recursion.
+    let iterations = capture_linear_iterations(&dataset.x, y, &schedule, config.compression)?;
 
     // PrIU-opt offline capture: eigendecomposition of M = XᵀX and N = XᵀY.
     // The Gram matrix and the Jacobi sweep run on workspace buffers

@@ -62,21 +62,21 @@ fn build_class_cache(
 /// Runs one exact binary-logistic mb-SGD step (Eq. 6) on the batch staged
 /// in `ws.batch`, selecting rows from `x`/`y` and mutating `w` in place.
 /// The single definition of the step: the trainer loop calls it per
-/// scheduled iteration, the delta engine for appended explicit batches.
+/// scheduled iteration, BaseL's retraining per surviving batch, the delta
+/// engine for appended explicit batches.
 ///
 /// With `capture` set the iteration's linearised provenance — the `(a, b')`
-/// coefficients around the *current* trajectory plus the aggregated Gram
-/// form — is built and returned (allocates: it is storage). With `None` the
-/// step touches only workspace buffers.
-#[allow(clippy::too_many_arguments)]
+/// coefficients of the interpolant around the *current* trajectory plus
+/// the aggregated Gram form — is built and returned (allocates: it is
+/// storage). With `None` (BaseL's retraining, appended batches outside
+/// `apply`) the step touches only workspace buffers.
 pub(crate) fn binary_logistic_step(
     x: &Matrix,
     y: &Vector,
     w: &mut Vector,
     eta: f64,
     lambda: f64,
-    interp: &PiecewiseLinearSigmoid,
-    capture: Option<Compression>,
+    capture: Option<(&PiecewiseLinearSigmoid, Compression)>,
     ws: &mut Workspace,
 ) -> Result<Option<LogisticIterationCache>> {
     let m = x.ncols();
@@ -101,17 +101,19 @@ pub(crate) fn binary_logistic_step(
         let yi = y[batch[pos]];
         let margin = yi * xw[pos];
         update_coeffs[pos] = yi * PiecewiseLinearSigmoid::exact(margin);
-        let seg = interp.coefficients(margin);
-        // Contribution of sample i: a·x xᵀ w + b'·x with b' = intercept·y.
-        a_coeffs[pos] = seg.slope;
-        b_coeffs[pos] = seg.intercept * yi;
+        if let Some((interp, _)) = capture {
+            let seg = interp.coefficients(margin);
+            // Contribution of sample i: a·x xᵀ w + b'·x with b' = intercept·y.
+            a_coeffs[pos] = seg.slope;
+            b_coeffs[pos] = seg.intercept * yi;
+        }
     }
     rows.transpose_matvec_into(update_coeffs, grad)?;
     // Fused parameter step (bitwise identical to scale_mut + axpy on
     // every SIMD level).
     w.scale_add(1.0 - eta * lambda, eta / b as f64, grad)?;
 
-    let Some(compression) = capture else {
+    let Some((_, compression)) = capture else {
         return Ok(None);
     };
     let cache = build_class_cache(&ws.rows, &ws.b2, &ws.b3, compression)?;
@@ -134,8 +136,7 @@ pub(crate) fn multinomial_logistic_step(
     weights: &mut [Vector],
     eta: f64,
     lambda: f64,
-    interp: &PiecewiseLinearSigmoid,
-    capture: Option<Compression>,
+    capture: Option<(&PiecewiseLinearSigmoid, Compression)>,
     ws: &mut Workspace,
 ) -> Result<Option<LogisticIterationCache>> {
     let m = x.ncols();
@@ -184,6 +185,9 @@ pub(crate) fn multinomial_logistic_step(
             let indicator = if batch_classes[i] == k { 1.0 } else { 0.0 };
             exact_coeffs[i] = p - indicator;
 
+            let Some((interp, _)) = capture else {
+                continue;
+            };
             // Scalarised softmax: p = σ(z − L) with L the log-sum-exp of
             // the *other* classes; clamp for numerical safety when p≈1.
             let l_other = lse[i] + (1.0 - p).max(1e-300).ln();
@@ -201,7 +205,7 @@ pub(crate) fn multinomial_logistic_step(
         // Fused parameter step (bitwise identical to scale_mut + axpy).
         weights[k].scale_add(1.0 - eta * lambda, -eta / b as f64, grad)?;
 
-        if let (Some(caches), Some(compression)) = (class_caches.as_mut(), capture) {
+        if let (Some(caches), Some((_, compression))) = (class_caches.as_mut(), capture) {
             caches.push(build_class_cache(&ws.rows, &ws.b2, &ws.b3, compression)?);
         }
     }
@@ -274,8 +278,7 @@ pub fn train_binary_logistic_with(
             &mut w,
             eta,
             lambda,
-            interp,
-            Some(config.compression),
+            Some((interp, config.compression)),
             ws,
         )?
         .expect("capture was requested");
@@ -413,8 +416,7 @@ pub fn train_multinomial_logistic_with(
             &mut weights,
             eta,
             lambda,
-            interp,
-            Some(config.compression),
+            Some((interp, config.compression)),
             ws,
         )?
         .expect("capture was requested");

@@ -29,10 +29,12 @@
 //! end-to-end property that update-call allocation totals are independent of
 //! the iteration count.
 //!
-//! What is *not* covered: provenance capture storage. The trainers append a
-//! freshly-built Gram cache and coefficient list per iteration — that data
-//! outlives the loop by design and is exempt from the zero-allocation
-//! guarantee (see DESIGN.md §3.3).
+//! What is *not* covered: provenance capture storage. The trainers build a
+//! Gram cache and coefficient list per iteration — that data outlives the
+//! loop by design and is exempt from the zero-allocation guarantee. The
+//! linear trainer captures after its SGD loop, in one pool region that
+//! stages rows in one pre-sized workspace per participating thread (see
+//! DESIGN.md §3.3).
 
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::EigenScratch;

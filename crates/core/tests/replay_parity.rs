@@ -8,11 +8,16 @@
 //! here as an in-test copy. The region must also finish when the pool's
 //! job slot is taken by another thread's job, and when the replay itself
 //! runs inside a pool worker.
+//!
+//! The provenance the replay consumes is captured after the SGD recursion,
+//! in one pool region over the iterations; every cache must be bitwise the
+//! same for every thread count, and the same as capturing each batch
+//! inline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use priu_core::capture::LinearProvenance;
+use priu_core::capture::{GramCache, LinearIterationCache, LinearProvenance};
 use priu_core::trainer::linear::train_linear;
 use priu_core::update::priu_linear::priu_update_linear;
 use priu_core::{Compression, DeletionEngine, Method, SessionBuilder, TrainerConfig};
@@ -255,5 +260,82 @@ fn replay_completes_when_the_pool_is_busy_or_it_runs_on_a_worker() {
     });
     for got in results {
         assert_eq!(got, want, "replay nested in a pool task");
+    }
+}
+
+/// Bit patterns of one iteration cache: the Gram's stored values, the
+/// moment vector and the batch size.
+fn cache_bits(cache: &LinearIterationCache) -> (Vec<u64>, Vec<u64>, usize) {
+    let gram = match &cache.gram {
+        GramCache::Dense(g) => bits(g.as_slice()),
+        GramCache::Truncated(t) => [bits(t.p().as_slice()), bits(t.v().as_slice())].concat(),
+        GramCache::Deflated { .. } => panic!("a fresh capture is never deflated"),
+    };
+    (gram, bits(cache.xy.as_slice()), cache.batch_size)
+}
+
+#[test]
+fn trainer_captures_are_bitwise_equal_on_every_thread_count_and_to_an_inline_loop() {
+    // (m, n, B, T, compression): single-chunk batches, a batch past the
+    // kernels' 512-row chunk threshold (its Gram reduces two chunks inside
+    // the region), truncated caches, and a capture small enough to run on
+    // the calling thread alone.
+    let cases = [
+        (40, 600, 64, 40, Compression::None),
+        (24, 1300, 600, 8, Compression::None),
+        (32, 400, 50, 80, Compression::Exact { rank: 5 }),
+        (8, 300, 40, 20, Compression::None),
+    ];
+    for level in simd::available_levels() {
+        for &(m, n, b, t, compression) in &cases {
+            let data = data(m, n);
+            let y = data.labels.as_continuous().unwrap();
+            let cfg = config(b, t).with_compression(compression);
+            let runs: Vec<Vec<_>> = THREADS
+                .iter()
+                .map(|&threads| {
+                    simd::with_level(level, || {
+                        par::with_threads(threads, || {
+                            let trained = train_linear(&data, &cfg).unwrap();
+                            trained
+                                .provenance
+                                .iterations
+                                .iter()
+                                .map(cache_bits)
+                                .collect()
+                        })
+                    })
+                })
+                .collect();
+            // The inline loop: each batch's rows, labels and unit weights,
+            // captured one after another on the calling thread.
+            let provenance =
+                simd::with_level(level, || train_linear(&data, &cfg).unwrap()).provenance;
+            let inline: Vec<_> = simd::with_level(level, || {
+                par::with_threads(1, || {
+                    (0..t)
+                        .map(|it| {
+                            let batch = provenance.schedule.batch(it);
+                            let rows = data.x.select_rows(&batch);
+                            let y_batch: Vec<f64> = batch.iter().map(|&i| y[i]).collect();
+                            let cache = LinearIterationCache {
+                                gram: GramCache::build(&rows, &vec![1.0; batch.len()], compression)
+                                    .unwrap(),
+                                xy: rows.transpose_matvec(&y_batch).unwrap(),
+                                batch_size: batch.len(),
+                            };
+                            cache_bits(&cache)
+                        })
+                        .collect()
+                })
+            });
+            for (threads, run) in THREADS.iter().zip(&runs) {
+                assert!(
+                    *run == inline,
+                    "captures at {threads} threads differ from the inline loop \
+                     (m = {m}, B = {b}, {compression:?}, {level})"
+                );
+            }
+        }
     }
 }

@@ -383,7 +383,50 @@ fn update_allocations_are_independent_of_iteration_count() {
     );
 
     offline_factorization_allocations_are_per_call_constants();
+    warm_engine_calls_allocate_per_call_constants();
     simd_dispatch_adds_no_warm_path_cost();
+}
+
+/// Engine entry points built on the Gram kernel: a warm closed-form update
+/// (downdate Gram of the removed rows) and a warm chained `apply` (one
+/// deflation Gram per affected batch, the removed block's Gram, the
+/// successor's storage) allocate the same count on every call — the tile
+/// kernel's pack scratch comes from the per-thread pool, so once warm it
+/// adds nothing per call. Pinned to one thread, like the factorisation
+/// checks above.
+fn warm_engine_calls_allocate_per_call_constants() {
+    let session = SessionBuilder::dense(regression_data(), config(12, 0.05))
+        .fit()
+        .unwrap();
+    let removed = [3usize, 57, 200, 311];
+    priu_linalg::par::with_threads(1, || {
+        for method in [Method::ClosedForm, Method::Priu] {
+            session.update(method, &removed).unwrap(); // warm-up
+            session.apply(method, &removed).unwrap();
+        }
+        let update = || {
+            count_allocations(|| {
+                session.update(Method::ClosedForm, &removed).unwrap();
+            })
+        };
+        let (first, second) = (update(), update());
+        assert_eq!(
+            first, second,
+            "warm closed-form updates allocated {first} then {second} times"
+        );
+        for method in [Method::ClosedForm, Method::Priu] {
+            let apply = || {
+                count_allocations(|| {
+                    session.apply(method, &removed).unwrap();
+                })
+            };
+            let (first, second) = (apply(), apply());
+            assert_eq!(
+                first, second,
+                "warm chained {method} applies allocated {first} then {second} times"
+            );
+        }
+    });
 }
 
 /// Starts the pool with one worker and waits until that worker has run a

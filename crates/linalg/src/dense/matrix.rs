@@ -7,10 +7,17 @@
 //! reproducible for any `PRIU_THREADS`. Each also has an `_into` variant
 //! writing into a caller-owned buffer; the allocating versions delegate to
 //! those, so both spellings produce identical bits. The innermost loops
-//! (row dots, axpy-style accumulations) dispatch through [`crate::simd`],
-//! which preserves the 4-wide lane structure on every level — results are
-//! bitwise reproducible per `PRIU_SIMD` level, and differ across levels
-//! only by FMA's removed intermediate roundings.
+//! (row dots, axpy-style accumulations, the Gram's register tiles) dispatch
+//! through [`crate::simd`], which preserves the 4-wide lane structure on
+//! every level — results are bitwise reproducible per `PRIU_SIMD` level,
+//! and differ across levels only by FMA's removed intermediate roundings.
+//!
+//! Every Gram, dense or packed, runs one kernel per chunk: the chunk's rows
+//! in blocks of `GRAM_BLOCK_ROWS` through `simd::gram_block`'s
+//! 4 × 8 register tiles, which load and store each output entry once per
+//! block instead of once per row. Each entry still absorbs its terms in
+//! row order with the level's multiply-add, so the tiles produce the bits
+//! of the row-at-a-time rank-1 form (see `weighted_gram_rows`).
 
 use std::ops::{Add, Index, IndexMut, Mul, Range, Sub};
 
@@ -661,11 +668,28 @@ fn matmul_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, out_block: &mut [f64]
     }
 }
 
+/// Most rows one pass of the Gram tile kernel packs: the packed panel then
+/// holds at most `4 · 128` values, and every output tile is loaded and
+/// stored once per block of this many rows.
+const GRAM_BLOCK_ROWS: usize = 128;
+
 /// Accumulates the upper triangle of `Σ_{i ∈ rows} w_i x_i x_iᵀ` into
 /// `out` (not cleared), where the entries `(p, p..m)` of row `p` start at
 /// `out[row_start(p)]` — `p·m + p` in a row-major `m x m` buffer (lower
-/// triangle untouched), the packed row offset in packed storage. Both
-/// layouts run the same axpy sequence, so their values are bitwise equal.
+/// triangle untouched), the packed row offset in packed storage.
+///
+/// Rows with `w_i == 0` are skipped; the rest go, in row order and in
+/// blocks of at most [`GRAM_BLOCK_ROWS`], through the register-tiled
+/// [`crate::simd::gram_block`]. Every entry `(p, q)` therefore absorbs
+/// `madd(acc, w_i·x_ip, x_iq)` for the kept rows in ascending order — the
+/// element sequence of a rank-1 `axpy` per row, so both layouts and the
+/// rank-1 form agree bit for bit. The rank-1 form also skipped the terms
+/// with `w_i·x_ip == 0`; the tiles add them. Such a term is `±0` for finite
+/// `x_iq`, and adding `±0` leaves an accumulator unchanged unless it is
+/// `−0.0`. An accumulator starts at `+0.0` and, under round-to-nearest,
+/// a sum or fused multiply-add yields `−0.0` only from two `−0` operands
+/// or when a nonzero result underflows to zero, so for finite inputs whose
+/// products stay clear of the subnormal range no bit moves.
 fn weighted_gram_rows(
     a: &Matrix,
     rows: Range<usize>,
@@ -674,21 +698,47 @@ fn weighted_gram_rows(
     row_start: impl Fn(usize) -> usize,
 ) {
     let m = a.cols;
-    for i in rows {
-        let wi = w.map_or(1.0, |w| w[i]);
-        if wi == 0.0 {
-            continue;
-        }
-        let row = a.row(i);
-        for p in 0..m {
-            let vp = wi * row[p];
-            if vp == 0.0 {
+    let block = rows.len().min(GRAM_BLOCK_ROWS);
+    if m == 0 || block == 0 {
+        return;
+    }
+    let mut offs = [0_usize; GRAM_BLOCK_ROWS];
+    par::with_scratch(5 * block, |scratch| {
+        let (panel, weights) = scratch.split_at_mut(4 * block);
+        let mut k = 0;
+        for i in rows {
+            let wi = w.map_or(1.0, |w| w[i]);
+            if wi == 0.0 {
                 continue;
             }
-            let start = row_start(p);
-            axpy_slices(&mut out[start..start + (m - p)], vp, &row[p..]);
+            offs[k] = i * m;
+            weights[k] = wi;
+            k += 1;
+            if k == block {
+                crate::simd::gram_block(
+                    &a.data,
+                    m,
+                    &offs[..k],
+                    &weights[..k],
+                    panel,
+                    out,
+                    &row_start,
+                );
+                k = 0;
+            }
         }
-    }
+        if k > 0 {
+            crate::simd::gram_block(
+                &a.data,
+                m,
+                &offs[..k],
+                &weights[..k],
+                panel,
+                out,
+                &row_start,
+            );
+        }
+    });
 }
 
 impl Index<(usize, usize)> for Matrix {

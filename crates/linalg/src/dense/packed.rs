@@ -112,6 +112,17 @@ impl SymvChunks {
 }
 
 impl PackedSymmetric {
+    /// An empty (`0 × 0`) matrix whose storage already holds a `dim × dim`
+    /// one, so a later `_into` kernel (say,
+    /// [`Matrix::weighted_gram_packed_into`](crate::Matrix::weighted_gram_packed_into))
+    /// fills it without reallocating — even on another thread.
+    pub fn with_capacity(dim: usize) -> Self {
+        Self {
+            dim: 0,
+            data: Vec::with_capacity(packed_len(dim)),
+        }
+    }
+
     /// Wraps packed upper-triangle values (row `i` holding `a[i][i..]`).
     ///
     /// # Errors

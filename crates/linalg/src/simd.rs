@@ -1,9 +1,10 @@
 //! Runtime-dispatched SIMD microkernels with bitwise scalar parity.
 //!
 //! Every hot inner loop of the dense and sparse kernels — dot products,
-//! 4-row fused matvec dots, the packed symmetric matvec, `axpy`, the fused
-//! GD step `scale_add`, the QR reflector update, the Jacobi rotation pass,
-//! and the CSR gather/scatter loops — funnels through this module. Each
+//! 4-row fused matvec dots, the packed symmetric matvec, the register-tiled
+//! Gram block, `axpy`, the fused GD step `scale_add`, the QR reflector
+//! update, the Jacobi rotation pass, and the CSR gather/scatter loops —
+//! funnels through this module. Each
 //! microkernel has two implementations selected once per call:
 //!
 //! * **portable** — plain Rust with the historical lane structure (4-wide
@@ -724,6 +725,211 @@ pub fn fnma_dot_seq(init: f64, a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// Rows of one Gram output tile (one broadcast per row and packed row).
+const GRAM_TILE_ROWS: usize = 4;
+/// Columns of one Gram output tile (two 4-lane registers).
+const GRAM_TILE_COLS: usize = 8;
+
+/// One Gram output tile: row `r` holds the entries `(p0 + r, q0 + c)` for
+/// `c ∈ lo[r]..width`, stored at `out[at[r] + c]`; `full` marks the tiles
+/// whose 4 × 8 entries all lie in the triangle (a flag the loop sets: a
+/// kernel testing `lo` instead read it back through memory and stalled on
+/// every tile).
+#[derive(Clone, Copy)]
+struct GramTile {
+    at: [usize; GRAM_TILE_ROWS],
+    lo: [usize; GRAM_TILE_ROWS],
+    q0: usize,
+    width: usize,
+    full: bool,
+}
+
+/// Accumulates one block of rows into the upper triangle of an `m × m`
+/// Gram matrix: for every `p ≤ q < m`,
+/// `out[row_start(p) + q − p] ← madd(…madd(out, v_0p, x_0q)…, v_kp, x_kq)`
+/// over the block's rows `k` in order, where row `k` of `x` starts at
+/// `x[offs[k]]` and its broadcast value is `v_kp = weights[k] · x_kp`.
+///
+/// The triangle is covered by 4 × 8 register tiles (rows `p0..p0 + 4`,
+/// columns `q0..q0 + 8`, `q0` a multiple of 8). For each 4-row band the
+/// block's `v_k,p0..p0+4` are packed into `panel` (4 values per row, in row
+/// order); each tile then loads its outputs once, runs every packed row
+/// through [`madd`]'s level-dependent operation, and stores once. Tiles
+/// wholly inside the triangle load and store `out` directly. The band's
+/// first tile (it straddles the diagonal), tiles on the right edge
+/// (`q0 + 8 > m`) and the last band when `m mod 4 ≠ 0` touch only their
+/// in-triangle entries: masked loads and stores on the Avx2 level, a
+/// local copy of the tile on the portable level.
+///
+/// # Panics
+/// Panics if `weights` and `offs` differ in length, `panel` holds fewer
+/// than `4 · offs.len()` values, a row runs past the end of `x`, or a row
+/// of the triangle runs past the end of `out`.
+pub(crate) fn gram_block(
+    x: &[f64],
+    m: usize,
+    offs: &[usize],
+    weights: &[f64],
+    panel: &mut [f64],
+    out: &mut [f64],
+    row_start: impl Fn(usize) -> usize,
+) {
+    assert_eq!(offs.len(), weights.len(), "one weight per packed row");
+    assert!(
+        panel.len() >= GRAM_TILE_ROWS * offs.len(),
+        "panel too short"
+    );
+    assert!(
+        offs.iter().all(|&off| off <= x.len() && m <= x.len() - off),
+        "simd::gram_block: a row runs past the end of x"
+    );
+    let panel = &mut panel[..GRAM_TILE_ROWS * offs.len()];
+    match current_level() {
+        SimdLevel::Portable => {
+            gram_block_with(x, m, offs, weights, panel, out, row_start, |o, p, tile| {
+                gram_tile_portable(o, p, x, offs, tile)
+            })
+        }
+        SimdLevel::Avx2 => {
+            // SAFETY: see `dot`; the rows were checked above.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx2::gram_block(x, m, offs, weights, panel, out, row_start)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
+        }
+    }
+}
+
+/// The band and tile loop of [`gram_block`], shared by both levels:
+/// packs each band's panel, then hands every tile of the band to `tile`,
+/// which must accumulate the packed rows into exactly the tile's entries.
+/// Every row of every band is checked to lie in `out`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gram_block_with(
+    x: &[f64],
+    m: usize,
+    offs: &[usize],
+    weights: &[f64],
+    panel: &mut [f64],
+    out: &mut [f64],
+    row_start: impl Fn(usize) -> usize,
+    mut tile: impl FnMut(&mut [f64], &[f64], GramTile),
+) {
+    for p0 in (0..m).step_by(GRAM_TILE_ROWS) {
+        let band = GRAM_TILE_ROWS.min(m - p0);
+        // Entry (p0 + r, q) of the triangle lives at `out[origin[r] + q]`,
+        // so row p0 + r's entries end at `origin[r] + m`.
+        let origin: [usize; GRAM_TILE_ROWS] = std::array::from_fn(|r| {
+            let p = p0 + r;
+            if r < band {
+                row_start(p)
+                    .checked_sub(p)
+                    .expect("a Gram row starts at its diagonal")
+            } else {
+                0
+            }
+        });
+        assert!(
+            origin[..band]
+                .iter()
+                .all(|&o| o <= out.len() && m <= out.len() - o),
+            "simd::gram_block: a Gram row runs past the end of the output"
+        );
+        for (k, (&off, &wk)) in offs.iter().zip(weights).enumerate() {
+            let v = &mut panel[GRAM_TILE_ROWS * k..GRAM_TILE_ROWS * (k + 1)];
+            for r in 0..GRAM_TILE_ROWS {
+                // Rounded exactly as the rank-1 form's `w_i · x_ip`; the
+                // rows past `m` of a short band feed no entry.
+                v[r] = if r < band { wk * x[off + p0 + r] } else { 0.0 };
+            }
+        }
+        let first = p0 / GRAM_TILE_COLS * GRAM_TILE_COLS;
+        for q0 in (first..m).step_by(GRAM_TILE_COLS) {
+            let width = GRAM_TILE_COLS.min(m - q0);
+            // Row p0 + r's entries in the tile start at column p0 + r; the
+            // rows past `m` have none.
+            let lo = if q0 > p0 {
+                [0; GRAM_TILE_ROWS]
+            } else {
+                std::array::from_fn(|r| if r < band { p0 + r - q0 } else { width })
+            };
+            let full = q0 > p0 && width == GRAM_TILE_COLS && band == GRAM_TILE_ROWS;
+            let at = origin.map(|o| o + q0);
+            tile(
+                out,
+                panel,
+                GramTile {
+                    at,
+                    lo,
+                    q0,
+                    width,
+                    full,
+                },
+            );
+        }
+    }
+}
+
+/// The portable 4 × 8 Gram tile: mul-then-add per entry, packed rows in
+/// order. It runs as two 4-column halves, so the accumulators fit the
+/// portable target's registers; a tile that is not full copies its entries
+/// and the rows' columns in and out lane by lane, and the lanes outside
+/// them compute discarded values.
+fn gram_tile_portable(out: &mut [f64], panel: &[f64], x: &[f64], offs: &[usize], tile: GramTile) {
+    const H: usize = GRAM_TILE_COLS / 2;
+    let GramTile {
+        at,
+        lo,
+        q0,
+        width,
+        full,
+    } = tile;
+    for h in (0..width).step_by(H) {
+        let cols = H.min(width - h);
+        let mut acc = [[0.0_f64; H]; GRAM_TILE_ROWS];
+        for r in 0..GRAM_TILE_ROWS {
+            if full {
+                acc[r].copy_from_slice(&out[at[r] + h..at[r] + h + H]);
+            } else {
+                for c in lo[r].saturating_sub(h)..cols {
+                    acc[r][c] = out[at[r] + h + c];
+                }
+            }
+        }
+        let mut xv = [0.0_f64; H];
+        for (v, &off) in panel.chunks_exact(GRAM_TILE_ROWS).zip(offs) {
+            let src = off + q0 + h;
+            if full {
+                xv.copy_from_slice(&x[src..src + H]);
+            } else {
+                // An index loop: a `copy_from_slice` of at most four values
+                // compiles to a `memcpy` call per row.
+                #[allow(clippy::manual_memcpy)]
+                for c in 0..cols {
+                    xv[c] = x[src + c];
+                }
+            }
+            for (acc_r, &vr) in acc.iter_mut().zip(v) {
+                for c in 0..H {
+                    acc_r[c] += vr * xv[c];
+                }
+            }
+        }
+        for r in 0..GRAM_TILE_ROWS {
+            if full {
+                out[at[r] + h..at[r] + h + H].copy_from_slice(&acc[r]);
+            } else {
+                for c in lo[r].saturating_sub(h)..cols {
+                    out[at[r] + h + c] = acc[r][c];
+                }
+            }
+        }
+    }
+}
+
 /// The AVX2+FMA implementations. Every function is
 /// `#[target_feature(enable = "avx2,fma")]` and therefore `unsafe` to
 /// call: the caller must have proven feature support (the dispatchers
@@ -733,12 +939,13 @@ pub fn fnma_dot_seq(init: f64, a: &[f64], b: &[f64]) -> f64 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, __m256i, _mm256_add_pd, _mm256_blend_pd, _mm256_castpd256_pd128,
+        __m256d, __m256i, _mm256_add_pd, _mm256_and_si256, _mm256_blend_pd, _mm256_castpd256_pd128,
         _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_extractf128_pd, _mm256_fmadd_pd,
         _mm256_fnmadd_pd, _mm256_i64gather_pd, _mm256_loadu_pd, _mm256_loadu_si256,
-        _mm256_movemask_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_epi64x,
-        _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_permute2f128_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+        _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// Adds the four lanes of `v` in the canonical order
@@ -1045,6 +1252,128 @@ mod avx2 {
             acc = (-x).mul_add(*y, acc);
         }
         acc
+    }
+
+    /// [`super::gram_block`] with its tile loop compiled for AVX2+FMA, so
+    /// [`gram_tile`] inlines into it.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available, and every row `x[off..off + m]` must be
+    /// in bounds.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gram_block(
+        x: &[f64],
+        m: usize,
+        offs: &[usize],
+        weights: &[f64],
+        panel: &mut [f64],
+        out: &mut [f64],
+        row_start: impl Fn(usize) -> usize,
+    ) {
+        super::gram_block_with(x, m, offs, weights, panel, out, row_start, |o, p, tile| {
+            // SAFETY: the loop checked the tile's entries against `out`,
+            // the caller the rows against `x`, and `p` holds 4 values per
+            // row of `offs`.
+            unsafe { gram_tile(o, p, x, offs, tile) }
+        });
+    }
+
+    /// The AVX2 4 × 8 Gram tile: eight accumulators (two per tile row),
+    /// one fused multiply-add per entry and packed row, in row order. A
+    /// tile that is not full loads and stores its entries under lane masks
+    /// and loads the `x` columns past `width` as zero, so no lane outside
+    /// the tile's entries or the rows is ever touched.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available; `out[at[r] + c]` must be in bounds for
+    /// every `c ∈ lo[r]..width`; `panel` must hold 4 values per entry of
+    /// `offs`; and `x[off + q0..off + q0 + width]` must be in bounds for
+    /// every `off`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn gram_tile(
+        out: &mut [f64],
+        panel: &[f64],
+        x: &[f64],
+        offs: &[usize],
+        tile: super::GramTile,
+    ) {
+        let super::GramTile {
+            at,
+            lo,
+            q0,
+            width,
+            full,
+        } = tile;
+        let o = out.as_mut_ptr();
+        let rows = at.map(|a| o.wrapping_add(a));
+        let xp = x.as_ptr().wrapping_add(q0);
+        let v = panel.as_ptr();
+        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        if full {
+            for (acc_r, &row) in acc.iter_mut().zip(&rows) {
+                acc_r[0] = _mm256_loadu_pd(row);
+                acc_r[1] = _mm256_loadu_pd(row.add(4));
+            }
+            for (k, &off) in offs.iter().enumerate() {
+                let xa = _mm256_loadu_pd(xp.add(off));
+                let xb = _mm256_loadu_pd(xp.add(off + 4));
+                gram_tile_row(&mut acc, v.add(4 * k), xa, xb);
+            }
+            for (acc_r, &row) in acc.iter().zip(&rows) {
+                _mm256_storeu_pd(row, acc_r[0]);
+                _mm256_storeu_pd(row.add(4), acc_r[1]);
+            }
+            return;
+        }
+        for ((acc_r, &row), &l) in acc.iter_mut().zip(&rows).zip(&lo) {
+            let (ma, mb) = edge_mask(l, width);
+            acc_r[0] = _mm256_maskload_pd(row, ma);
+            acc_r[1] = _mm256_maskload_pd(row.wrapping_add(4), mb);
+        }
+        let (xa_mask, xb_mask) = edge_mask(0, width);
+        for (k, &off) in offs.iter().enumerate() {
+            let xa = _mm256_maskload_pd(xp.wrapping_add(off), xa_mask);
+            let xb = _mm256_maskload_pd(xp.wrapping_add(off + 4), xb_mask);
+            gram_tile_row(&mut acc, v.add(4 * k), xa, xb);
+        }
+        for ((acc_r, &row), &l) in acc.iter().zip(&rows).zip(&lo) {
+            let (ma, mb) = edge_mask(l, width);
+            _mm256_maskstore_pd(row, ma, acc_r[0]);
+            _mm256_maskstore_pd(row.wrapping_add(4), mb, acc_r[1]);
+        }
+    }
+
+    /// Lane masks of a tile row's columns `lo..width` (`lo ≤ width ≤ 8`),
+    /// one per 4-lane half: two windows into a table of zeros and ones,
+    /// one selecting the lanes `≥ lo` and one the lanes `< width`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn edge_mask(lo: usize, width: usize) -> (__m256i, __m256i) {
+        static TABLE: [i64; 24] = [
+            0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let t = TABLE.as_ptr();
+        let from = t.add(8 - lo); // lane c is set iff c >= lo
+        let below = t.add(16 - width); // lane c is set iff c < width
+        let half = |h: usize| {
+            _mm256_and_si256(
+                _mm256_loadu_si256(from.add(h) as *const __m256i),
+                _mm256_loadu_si256(below.add(h) as *const __m256i),
+            )
+        };
+        (half(0), half(4))
+    }
+
+    /// One packed row of [`gram_tile`]: `acc[r] ← v[r]·(xa, xb) + acc[r]`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn gram_tile_row(acc: &mut [[__m256d; 2]; 4], v: *const f64, xa: __m256d, xb: __m256d) {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let vr = _mm256_set1_pd(*v.add(r));
+            acc_r[0] = _mm256_fmadd_pd(vr, xa, acc_r[0]);
+            acc_r[1] = _mm256_fmadd_pd(vr, xb, acc_r[1]);
+        }
     }
 }
 

@@ -228,6 +228,111 @@ fn packed_gram_is_the_dense_upper_triangle_bitwise_on_every_thread_count() {
     }
 }
 
+/// The rank-1 Gram loop the tile kernel replaced, kept as the bitwise
+/// reference: per chunk of the kernels' shape-only decomposition (256-row
+/// minimum, at most 8 chunks), one `axpy` of `w_i·x_ip · x_i[p..]` into
+/// row `p`'s upper-triangle entries for every row `i` and column `p`,
+/// skipping zero weights and zero products; the chunk partials are added
+/// in chunk order. Returns the upper triangle, packed.
+fn rank_one_gram_upper(a: &Matrix, w: Option<&[f64]>) -> Vec<f64> {
+    let m = a.ncols();
+    let len = m * (m + 1) / 2;
+    let start = |p: usize| p * m - p * p.saturating_sub(1) / 2;
+    let accumulate = |rows: std::ops::Range<usize>, out: &mut [f64]| {
+        for i in rows {
+            let wi = w.map_or(1.0, |w| w[i]);
+            if wi == 0.0 {
+                continue;
+            }
+            let row = a.row(i);
+            for p in 0..m {
+                let vp = wi * row[p];
+                if vp == 0.0 {
+                    continue;
+                }
+                let s = start(p);
+                priu_linalg::axpy_slices(&mut out[s..s + (m - p)], vp, &row[p..]);
+            }
+        }
+    };
+    let chunks = par::Chunks::new(a.nrows(), 256, 8);
+    let mut out = vec![0.0; len];
+    if chunks.count() == 1 {
+        accumulate(chunks.range(0), &mut out);
+    } else {
+        for c in 0..chunks.count() {
+            let mut partial = vec![0.0; len];
+            accumulate(chunks.range(c), &mut partial);
+            priu_linalg::axpy_slices(&mut out, 1.0, &partial);
+        }
+    }
+    out
+}
+
+/// Bit patterns, so `+0.0` and `−0.0` count as different.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn tiled_gram_is_the_rank_one_loop_bitwise() {
+    // Every Gram — dense and packed, weighted and unweighted — equals the
+    // rank-1 loop bit for bit on every level and thread count, across
+    // tile-edge widths and row counts on both sides of the block and chunk
+    // boundaries. Zero weights and zero entries exercise the terms the
+    // rank-1 loop skipped and the tiles add.
+    const WIDTHS: [usize; 9] = [1, 3, 4, 5, 8, 31, 32, 33, 318];
+    const ROWS: [usize; 10] = [0, 1, 2, 4, 5, 255, 256, 511, 512, 1000];
+    // At the `paper-linear` width the grid keeps one case per path (one
+    // row, a partial block, two blocks in one chunk, two chunks): the full
+    // row sweep there costs a minute in an unoptimised test build.
+    const ROWS_318: [usize; 4] = [1, 5, 256, 512];
+    for level in simd_levels() {
+        for &m in &WIDTHS {
+            let rows: &[usize] = if m == 318 { &ROWS_318 } else { &ROWS };
+            for &n in rows {
+                let seed = 0x6A0 + (m * 1000 + n) as u64;
+                let mut a = random_matrix(n, m, seed);
+                let mut w = random_vec(n, seed ^ 1);
+                for i in 0..n {
+                    if i % 7 == 3 {
+                        w[i] = 0.0;
+                    }
+                    for j in 0..m {
+                        if (i + 2 * j) % 5 == 0 {
+                            a[(i, j)] = 0.0;
+                        }
+                    }
+                }
+                for weights in [None, Some(&w[..])] {
+                    let expected = simd::with_level(level, || rank_one_gram_upper(&a, weights));
+                    for threads in [1usize, 2, 4] {
+                        let label = format!(
+                            "{n}x{m} weighted={} threads={threads} ({level})",
+                            weights.is_some()
+                        );
+                        let packed = simd::with_level(level, || {
+                            par::with_threads(threads, || a.weighted_gram_packed(weights))
+                        });
+                        assert_eq!(bits(packed.as_slice()), bits(&expected), "packed {label}");
+                        // The dense layout runs the same tiles through
+                        // another row-start map; one thread count suffices.
+                        if threads == 2 {
+                            let dense = simd::with_level(level, || {
+                                par::with_threads(threads, || a.weighted_gram(weights))
+                            });
+                            let upper: Vec<f64> =
+                                (0..m).flat_map(|i| dense.row(i)[i..].to_vec()).collect();
+                            assert_eq!(bits(&upper), bits(&expected), "dense {label}");
+                            assert_eq!(dense.asymmetry().unwrap(), 0.0, "mirror {label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn unweighted_gram_equals_weighted_gram_with_unit_weights() {
     let a = random_matrix(300, 21, 0xD0);
