@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the linear-algebra substrate kernels that dominate
 //! PrIU's training and update phases: matrix-vector products, weighted Gram
-//! accumulation, truncated eigendecompositions, Jacobi eigendecomposition and
-//! sparse matrix-vector products.
+//! accumulation, truncated eigendecompositions, the symmetric
+//! eigendecomposition and sparse matrix-vector products.
 //!
 //! The `(n, m)` grid compares three variants per hot kernel so regressions
 //! (and the speedup of this performance layer) stay visible:
@@ -20,22 +20,26 @@
 //!
 //! The `decomp_grid` group covers the blocked decomposition layer driving
 //! PrIU-opt's offline phase and the closed-form baseline: `scalar` is the
-//! pre-blocking textbook implementation (left-looking Cholesky, sequential
-//! row-cyclic Jacobi, Householder QR with a full n×n Q accumulation);
-//! `blocked1` / `blocked4` are the production blocked kernels pinned to one
-//! and four threads, and the `qr_per_reflector*` rows keep the pre-WY QR
-//! driver visible next to the compact-WY `qr_blocked*` rows.
+//! pre-blocking textbook implementation (left-looking Cholesky, Householder
+//! QR with a full n×n Q accumulation) or, for eigen, the plain-loop
+//! reference `eigen_scalar_into`; `blocked1` / `blocked4` are the
+//! production kernels pinned to one and four threads, and the
+//! `qr_per_reflector*` rows keep the pre-WY QR driver visible next to the
+//! compact-WY `qr_blocked*` rows.
 //!
-//! The `eigen_grid` group is the offline-phase shoot-out: the Jacobi
-//! fallback vs the default two-stage tridiag + QL pipeline at 64–512.
+//! The `eigen_grid` group covers the offline phase: the tridiag + QL
+//! eigensolver on one thread at 64–256, then tridiagonalisation alone, the
+//! full eigendecomposition, QR and Cholesky at 1 vs 2 threads at m = 318
+//! (paper-linear's feature count) and m = 512 (cifar10's).
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::{
-    cholesky_factor_into, qr_factor_into, qr_factor_per_reflector_into, with_eigen_method,
-    EigenMethod, EigenScratch, GramFactor, QrScratch, TruncationMethod,
+    cholesky_factor_into, eigen_into, eigen_scalar_into, qr_factor_into,
+    qr_factor_per_reflector_into, tridiag_factor_into, EigenScratch, GramFactor, QrScratch,
+    TridiagScratch, TruncationMethod,
 };
 use priu_linalg::par;
 use priu_linalg::sparse::CooBuilder;
@@ -150,58 +154,6 @@ mod scalar {
             }
         }
         l
-    }
-
-    /// Sequential row-cyclic Jacobi sweep (the pre-blocking eigen path).
-    pub fn jacobi_eigen(a: &Matrix) -> (Vec<f64>, Matrix) {
-        let n = a.nrows();
-        let scale = a.max_abs().max(1.0);
-        let mut m = a.clone();
-        let mut q = Matrix::identity(n);
-        let tol = 1e-14 * scale;
-        for _sweep in 0..100 {
-            let mut off = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    off += m[(i, j)] * m[(i, j)];
-                }
-            }
-            if off.sqrt() <= tol {
-                break;
-            }
-            for p in 0..n {
-                for r in (p + 1)..n {
-                    let apr = m[(p, r)];
-                    if apr.abs() <= tol * 1e-2 {
-                        continue;
-                    }
-                    let theta = (m[(r, r)] - m[(p, p)]) / (2.0 * apr);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    for k in 0..n {
-                        let (mkp, mkr) = (m[(k, p)], m[(k, r)]);
-                        m[(k, p)] = c * mkp - s * mkr;
-                        m[(k, r)] = s * mkp + c * mkr;
-                    }
-                    for k in 0..n {
-                        let (mpk, mrk) = (m[(p, k)], m[(r, k)]);
-                        m[(p, k)] = c * mpk - s * mrk;
-                        m[(r, k)] = s * mpk + c * mrk;
-                    }
-                    for k in 0..n {
-                        let (qkp, qkr) = (q[(k, p)], q[(k, r)]);
-                        q[(k, p)] = c * qkp - s * qkr;
-                        q[(k, r)] = s * qkp + c * qkr;
-                    }
-                }
-            }
-        }
-        ((0..n).map(|i| m[(i, i)]).collect(), q)
     }
 
     /// Textbook Householder QR accumulating a full n×n Q (the pre-blocking
@@ -407,9 +359,8 @@ fn bench_sparse_grid(c: &mut Criterion) {
     group.finish();
 }
 
-/// SPD / symmetric sizes for the decomposition grid. Cholesky reaches the
-/// 512×512 acceptance shape; the Jacobi eigen sizes stay smaller because a
-/// single factorisation is Θ(n³) *per sweep*.
+/// SPD / symmetric sizes for the decomposition grid; the eigen grid covers
+/// the larger eigen shapes.
 const CHOL_SIZES: [usize; 3] = [128, 256, 512];
 const EIG_SIZES: [usize; 3] = [54, 96, 128];
 const QR_SHAPES: [(usize, usize); 2] = [(512, 128), (1000, 200)];
@@ -444,7 +395,7 @@ fn bench_decomp_grid(c: &mut Criterion) {
         let shape = format!("{n}x{n}");
 
         group.bench_function(BenchmarkId::new("eigen_scalar", &shape), |bench| {
-            bench.iter(|| scalar::jacobi_eigen(black_box(&sym)))
+            bench.iter(|| eigen_scalar_into(black_box(&sym), &mut scratch).unwrap())
         });
         group.bench_function(BenchmarkId::new("eigen_blocked1", &shape), |bench| {
             bench.iter(|| {
@@ -507,10 +458,12 @@ fn bench_decomp_grid(c: &mut Criterion) {
     group.finish();
 }
 
-/// The offline-phase shoot-out: the Jacobi fallback vs the default
-/// tridiag + QL pipeline on the same symmetric inputs, up to the 512×512
-/// acceptance shape (Jacobi is Θ(n³) *per sweep* there — that is the point).
-const EIGEN_GRID_SIZES: [usize; 4] = [64, 128, 256, 512];
+/// Sizes for the one-thread eigensolver sweep of the eigen grid (512 is
+/// covered by the `eigen1` row of the offline shapes).
+const EIGEN_GRID_SIZES: [usize; 3] = [64, 128, 256];
+/// The shapes the offline phase factorises at scale: paper-linear's 318
+/// features and cifar10's 512.
+const OFFLINE_SIZES: [usize; 2] = [318, 512];
 
 fn bench_eigen_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("eigen_grid");
@@ -522,34 +475,65 @@ fn bench_eigen_grid(c: &mut Criterion) {
     for &n in &EIGEN_GRID_SIZES {
         let sym = random_matrix(n, n, 34).gram();
         let shape = format!("{n}x{n}");
-
-        group.bench_function(BenchmarkId::new("jacobi1", &shape), |bench| {
-            bench.iter(|| {
-                with_eigen_method(EigenMethod::Jacobi, || {
-                    par::with_threads(1, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
-                    })
-                })
-            })
-        });
         group.bench_function(BenchmarkId::new("tridiag_ql1", &shape), |bench| {
             bench.iter(|| {
-                with_eigen_method(EigenMethod::TridiagQl, || {
-                    par::with_threads(1, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
-                    })
-                })
+                par::with_threads(1, || eigen_into(black_box(&sym), &mut scratch).unwrap())
             })
         });
-        group.bench_function(BenchmarkId::new("tridiag_ql4", &shape), |bench| {
-            bench.iter(|| {
-                with_eigen_method(EigenMethod::TridiagQl, || {
-                    par::with_threads(4, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
+    }
+
+    // 1 vs 2 threads on the offline shapes. The eigen rows run on the
+    // calling thread at any count; the QR and Cholesky rows show what the
+    // chunked decompositions gain from a second thread.
+    let mut tri = TridiagScratch::default();
+    let (mut q, mut d, mut e) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
+    let mut qr_scratch = QrScratch::default();
+    let mut r = Matrix::zeros(0, 0);
+    let mut l = Matrix::zeros(0, 0);
+    for &n in &OFFLINE_SIZES {
+        let sym = random_matrix(n, n, 35).gram();
+        let mut spd = sym.clone();
+        spd.add_diagonal_mut(n as f64).unwrap();
+        let square = random_matrix(n, n, 36);
+        let shape = format!("{n}x{n}");
+        for threads in [1usize, 2] {
+            group.bench_function(
+                BenchmarkId::new(format!("tridiag{threads}"), &shape),
+                |bench| {
+                    bench.iter(|| {
+                        par::with_threads(threads, || {
+                            tridiag_factor_into(black_box(&sym), &mut q, &mut d, &mut e, &mut tri)
+                                .unwrap()
+                        })
+                    })
+                },
+            );
+            group.bench_function(
+                BenchmarkId::new(format!("eigen{threads}"), &shape),
+                |bench| {
+                    bench.iter(|| {
+                        par::with_threads(threads, || {
+                            eigen_into(black_box(&sym), &mut scratch).unwrap()
+                        })
+                    })
+                },
+            );
+            group.bench_function(BenchmarkId::new(format!("qr{threads}"), &shape), |bench| {
+                bench.iter(|| {
+                    par::with_threads(threads, || {
+                        qr_factor_into(black_box(&square), &mut q, &mut r, &mut qr_scratch).unwrap()
                     })
                 })
-            })
-        });
+            });
+            group.bench_function(
+                BenchmarkId::new(format!("cholesky{threads}"), &shape),
+                |bench| {
+                    bench.iter(|| {
+                        par::with_threads(threads, || cholesky_factor_into(black_box(&spd), &mut l))
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -885,15 +869,6 @@ fn bench_kernels(c: &mut Criterion) {
                 )
                 .unwrap()
         })
-    });
-
-    // Jacobi eigendecomposition (PrIU-opt offline step).
-    let sym = {
-        let base = random_matrix(54, 54, 4);
-        base.gram()
-    };
-    group.bench_function("jacobi_eigen_54x54", |b| {
-        b.iter(|| SymmetricEigen::new(black_box(&sym)).unwrap())
     });
 
     // Sparse matvec at RCV1-like density.

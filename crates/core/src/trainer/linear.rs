@@ -227,7 +227,7 @@ pub fn train_linear_with(
     let iterations = capture_linear_iterations(&dataset.x, y, &schedule, config.compression)?;
 
     // PrIU-opt offline capture: eigendecomposition of M = XᵀX and N = XᵀY.
-    // The Gram matrix and the Jacobi sweep run on workspace buffers
+    // The Gram matrix and the tridiag + QL eigensolver run on workspace buffers
     // (`weighted_gram_into` + `SymmetricEigen::new_with`), so with a
     // pre-sized workspace the capture allocates only what it stores.
     let opt = if config.capture_opt {

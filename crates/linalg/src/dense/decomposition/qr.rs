@@ -41,6 +41,8 @@
 //! through a different tree (numerically equal, not bitwise), and anchors
 //! the compact-WY equivalence suite and the decomposition benches.
 
+use std::ops::Range;
+
 use crate::dense::matrix::Matrix;
 use crate::dense::vector::{axpy_slices, Vector};
 use crate::error::{LinalgError, Result};
@@ -559,9 +561,9 @@ fn qr_reflector_driver(
 
 /// Applies `H = I − 2 v vᵀ / (vᵀv)` to `x[row0.., col0..col1]` with the
 /// chunk-parallel two-pass scheme (dots over column chunks, update over row
-/// chunks). Per-element arithmetic and accumulation order are identical to
-/// the plain loops in [`apply_reflector_scalar`]. Shared with the
-/// tridiagonalisation module's Q back-accumulation.
+/// chunks). Every chunk runs the loop bodies of [`apply_reflector_inline`]
+/// on its slice, so per-element arithmetic and accumulation order are
+/// identical to it and to the plain loops in [`apply_reflector_scalar`].
 pub(crate) fn apply_reflector(
     x: &mut Matrix,
     v: &[f64],
@@ -577,42 +579,78 @@ pub(crate) fn apply_reflector(
     let dots = &mut dots[..ncols];
     dots.fill(0.0);
 
-    // Pass 1: dots[j] = Σ_{i ≥ row0} v_i · x[i][j], ascending i per column.
-    // Column chunks own disjoint slices of `dots`; every chunk sweeps the
-    // same rows, so the per-column chain is chunk-independent.
+    // Pass 1: column chunks own disjoint slices of `dots`; every chunk
+    // sweeps the same rows, so the per-column chain is chunk-independent.
     let col_chunks = Chunks::new(ncols, QR_MIN_CHUNK_COLS, QR_MAX_CHUNKS);
     {
         let x_ref = &*x;
         par::map_chunks(&col_chunks, 1, dots, |range, region| {
-            #[allow(clippy::needless_range_loop)] // i indexes matrix rows and v alike
-            for i in row0..n {
-                let vi = v[i];
-                let row = &x_ref.row(i)[col0 + range.start..col0 + range.end];
-                // Per-column chains advance one row at a time; the
-                // dispatched axpy fuses each multiply-add on the Avx2 level
-                // (element-independent across columns, so vector width
-                // never changes bits).
-                axpy_slices(region, vi, row);
-            }
+            reflector_dots(x_ref, v, row0, col0 + range.start..col0 + range.end, region);
         });
     }
-    // Scales: 2 · dot_j / vᵀv.
-    for d in dots.iter_mut() {
-        *d = 2.0 * *d / v_norm_sq;
-    }
+    reflector_scales(dots, v_norm_sq);
 
-    // Pass 2: x[i][j] −= scale_j · v_i — one fused expression per element,
-    // parallel over disjoint row chunks.
+    // Pass 2: parallel over disjoint row chunks.
     let row_chunks = Chunks::new(n - row0, QR_MIN_CHUNK_ROWS, QR_MAX_CHUNKS);
     let scales = &*dots;
     let rows_below = &mut x.as_mut_slice()[row0 * width..];
     par::map_chunks(&row_chunks, width, rows_below, |range, region| {
-        for (local, off) in range.enumerate() {
-            let vi = v[row0 + off];
-            let row = &mut region[local * width + col0..local * width + col1];
-            simd::fnma_scaled(row, scales, vi);
-        }
+        reflector_update(region, width, &v[row0 + range.start..], col0..col1, scales);
     });
+}
+
+/// [`apply_reflector`] on the calling thread: the same two vectorised
+/// passes over the whole column and row ranges, never entering the pool.
+/// The tridiagonalisation's `Q` back-accumulation runs on this.
+pub(crate) fn apply_reflector_inline(
+    x: &mut Matrix,
+    v: &[f64],
+    v_norm_sq: f64,
+    row0: usize,
+    col0: usize,
+    col1: usize,
+    dots: &mut [f64],
+) {
+    let width = x.ncols();
+    let dots = &mut dots[..col1 - col0];
+    dots.fill(0.0);
+    reflector_dots(x, v, row0, col0..col1, dots);
+    reflector_scales(dots, v_norm_sq);
+    reflector_update(
+        &mut x.as_mut_slice()[row0 * width..],
+        width,
+        &v[row0..],
+        col0..col1,
+        dots,
+    );
+}
+
+/// Reflector pass 1 over columns `cols`: each `dots[j]` accumulates
+/// `v_i · x[i][cols.start + j]` for every row `i ≥ row0`, ascending.
+/// Per-column chains advance one row at a time; the dispatched axpy fuses
+/// each multiply-add on the Avx2 level (element-independent across
+/// columns, so neither the vector width nor the column split changes bits).
+fn reflector_dots(x: &Matrix, v: &[f64], row0: usize, cols: Range<usize>, dots: &mut [f64]) {
+    #[allow(clippy::needless_range_loop)] // i indexes matrix rows and v alike
+    for i in row0..x.nrows() {
+        axpy_slices(dots, v[i], &x.row(i)[cols.clone()]);
+    }
+}
+
+/// Turns pass-1 dots into the update scales `2 · dot_j / vᵀv`.
+fn reflector_scales(dots: &mut [f64], v_norm_sq: f64) {
+    for d in dots.iter_mut() {
+        *d = 2.0 * *d / v_norm_sq;
+    }
+}
+
+/// Reflector pass 2 over consecutive full rows (`rows` starts at a row
+/// boundary, `v` at the matching entry): `x[i][j] −= scale_j · v_i` on
+/// columns `cols`, one fused expression per element.
+fn reflector_update(rows: &mut [f64], width: usize, v: &[f64], cols: Range<usize>, scales: &[f64]) {
+    for (row, &vi) in rows.chunks_exact_mut(width).zip(v) {
+        simd::fnma_scaled(&mut row[cols.clone()], scales, vi);
+    }
 }
 
 /// The plain-loop reference: the same driver tree as [`qr_factor_into`] —

@@ -1,5 +1,6 @@
-//! Blocked Householder tridiagonalisation `A = Q T Qᵀ` and implicit-shift
-//! QL iteration — the two stages of the default symmetric eigensolver.
+//! Householder tridiagonalisation `A = Q T Qᵀ` and implicit-shift QL
+//! iteration — the two stages of the symmetric eigensolver. Both run
+//! entirely on the calling thread (see "Why no pool" below).
 //!
 //! # Stage one: tridiagonalisation
 //!
@@ -14,11 +15,11 @@
 //! p = β·A·v,   w = p − (β·pᵀv/2)·v,   A ← A − v·wᵀ − w·vᵀ
 //! ```
 //!
-//! for `4n³/3` total flops. The matvec is chunk-parallel over rows with a
-//! shared per-row [`simd::dot`] microkernel; the rank-2 update is
-//! chunk-parallel over rows with two [`simd::fnma_scaled`] lanes per row.
-//! `Q` is back-accumulated by applying the stored reflectors in reverse to
-//! the identity through the same chunk-parallel reflector passes as QR.
+//! for `4n³/3` total flops. The matvec is one [`simd::dot`] per row; the
+//! rank-2 update is two [`simd::fnma_scaled`] lanes per row. `Q` is
+//! back-accumulated by applying the stored reflectors in reverse to the
+//! identity through the vectorised reflector passes QR uses
+//! (`apply_reflector_inline`, the loop bodies of QR's chunked wrapper).
 //!
 //! # Stage two: implicit-shift QL
 //!
@@ -26,37 +27,38 @@
 //! EISPACK `tql2` schedule: per eigenvalue a Wilkinson-style shift, then a
 //! sequence of Givens rotations chasing the bulge. The `d`/`e` recurrence
 //! is inherently serial (and `O(n)` per sweep — negligible); the expensive
-//! part, applying each sweep's rotations to the eigenvector accumulator, is
-//! chunk-parallel over *column* ranges of `Zᵀ`: every chunk applies the
-//! whole rotation sequence to its disjoint column slice through the
-//! FMA-free [`simd::rotate_two`] kernel.
+//! part applies each sweep's rotations to adjacent rows of the eigenvector
+//! accumulator `Zᵀ` through the FMA-free [`simd::rotate_two`] kernel.
+//!
+//! # Why no pool
+//!
+//! Each factorisation is ~2n dependent passes of `O(n²)` work or less — a
+//! matvec, a rank-2 update and a reflector per column, a rotation pass per
+//! QL sweep — too small to pay for a pool hand-off. Chunking them over
+//! threads made `eigen_into` slower on two threads than on one at every
+//! size measured (2 vCPU, AVX2): 28–30 ms vs 96–97 ms at n = 318,
+//! 158–167 ms vs 335–351 ms at n = 512, and no better at n = 1024
+//! (1.60–1.72 s vs 1.63–1.83 s). So no pass here enters [`crate::par`],
+//! and the result cannot depend on `PRIU_THREADS`.
 //!
 //! # Determinism
 //!
-//! Chunk boundaries depend only on the shape, every per-element chain
-//! advances in a chunk-independent order (ascending rows for the matvec
-//! dots, the fixed rotation sequence per column), and both entry points
-//! execute one shared driver differing only in chunked-vs-sequential
-//! passes — so [`tridiag_factor_into`] is **bitwise identical** to
-//! [`tridiag_factor_scalar_into`] for any `PRIU_THREADS`, per `PRIU_SIMD`
-//! level (the per-row dot and element ops dispatch on both paths alike).
-//! The QL stage's rotations are built from serial scalar arithmetic and
-//! applied with an FMA-free kernel, so its bits never depend on the level.
+//! Both entry points execute one shared driver: the same reflector
+//! construction, the same per-row [`simd::dot`] matvec, and per-element
+//! chains in the same order. They differ only in how the rank-2 update and
+//! the reflector passes are written (row microkernels vs element loops
+//! through the dispatched `fnma` / `madd` ops), so [`tridiag_factor_into`]
+//! is **bitwise identical** to [`tridiag_factor_scalar_into`] per
+//! `PRIU_SIMD` level. The QL stage's rotations are built from serial scalar
+//! arithmetic and applied with an FMA-free kernel, so its bits never depend
+//! on the level.
 
 use crate::dense::matrix::Matrix;
 use crate::error::{LinalgError, Result};
-use crate::par::{self, Chunks};
 use crate::simd;
 
-use super::qr::{apply_reflector, apply_reflector_scalar, ApplyFn};
+use super::qr::{apply_reflector_inline, apply_reflector_scalar, ApplyFn};
 
-/// Minimum rows per chunk for the matvec / rank-2 passes (each row costs a
-/// full trailing-width sweep).
-const TRI_MIN_CHUNK_ROWS: usize = 64;
-/// Minimum columns per chunk for the QL rotation passes.
-const TRI_MIN_CHUNK_COLS: usize = 128;
-/// Chunk-count cap (map-style, disjoint outputs).
-const TRI_MAX_CHUNKS: usize = 8;
 /// QL iteration cap per eigenvalue before declaring divergence.
 const MAX_QL_ITERS: usize = 50;
 
@@ -92,19 +94,16 @@ impl TridiagScratch {
     }
 }
 
-/// How the trailing-block matvec `p[k1..n] = β · T[k1.., k1..] · v[k1..n]`
-/// is computed.
-type TriMatvecFn = fn(&Matrix, &[f64], usize, f64, &mut [f64]);
 /// How the symmetric rank-2 update `T ← T − v·wᵀ − w·vᵀ` (trailing block
 /// from `k1`) is applied.
 type TriRank2Fn = fn(&mut Matrix, &[f64], &[f64], usize);
 
-/// Blocked, pool-parallel Householder tridiagonalisation into caller-owned
-/// buffers: `q` becomes the orthogonal `n × n` factor, `d` the `n`
+/// Householder tridiagonalisation into caller-owned buffers, on the
+/// calling thread: `q` becomes the orthogonal `n × n` factor, `d` the `n`
 /// diagonal and `e` the subdiagonal of `T` (sized `n` with `e[n−1]` as
 /// zero padding for the QL stage; the subdiagonal proper is `e[..n−1]`),
 /// such that `A = Q T Qᵀ`. Bitwise identical to
-/// [`tridiag_factor_scalar_into`] for any thread count.
+/// [`tridiag_factor_scalar_into`].
 ///
 /// # Errors
 /// Returns [`LinalgError::InvalidArgument`] if the matrix is not square or
@@ -116,12 +115,12 @@ pub fn tridiag_factor_into(
     e: &mut Vec<f64>,
     scratch: &mut TridiagScratch,
 ) -> Result<()> {
-    tridiag_driver(a, q, d, e, scratch, tri_matvec, tri_rank2, apply_reflector)
+    tridiag_driver(a, q, d, e, scratch, tri_rank2, apply_reflector_inline)
 }
 
 /// The plain-loop reference: the same driver as [`tridiag_factor_into`]
-/// with sequential matvec / rank-2 / reflector passes — used by the parity
-/// suite (bitwise) and the decomposition benches (scalar baseline).
+/// with element-loop rank-2 / reflector passes — used by the parity suite
+/// (bitwise) and the decomposition benches (scalar baseline).
 ///
 /// # Errors
 /// See [`tridiag_factor_into`].
@@ -138,24 +137,22 @@ pub fn tridiag_factor_scalar_into(
         d,
         e,
         scratch,
-        tri_matvec_scalar,
         tri_rank2_scalar,
         apply_reflector_scalar,
     )
 }
 
-/// The shared factorisation driver, parameterised only over how the three
-/// heavy passes run (chunk-parallel vs plain loops); everything else — the
-/// reflector construction, the `β`/`κ` scalars, the `w` combination — is a
-/// single serial computation tree shared by both entry points.
-#[allow(clippy::too_many_arguments)]
+/// The shared factorisation driver, parameterised only over how the rank-2
+/// update and the reflector passes are written (row microkernels vs element
+/// loops); everything else — the reflector construction, the matvec, the
+/// `β`/`κ` scalars, the `w` combination — is a single serial computation
+/// tree shared by both entry points.
 fn tridiag_driver(
     a: &Matrix,
     q: &mut Matrix,
     d: &mut Vec<f64>,
     e: &mut Vec<f64>,
     scratch: &mut TridiagScratch,
-    matvec: TriMatvecFn,
     rank2: TriRank2Fn,
     apply: ApplyFn,
 ) -> Result<()> {
@@ -241,7 +238,7 @@ fn tridiag_driver(
         e[k] = alpha;
         let beta = 2.0 / v_norm_sq;
         let v = vs.row(k);
-        matvec(t, v, k1, beta, p);
+        tri_matvec(t, v, k1, beta, p);
         let kappa = 0.5 * beta * simd::dot(&p[k1..n], &v[k1..n]);
         for i in k1..n {
             w[i] = simd::fnma(p[i], kappa, v[i]);
@@ -266,24 +263,10 @@ fn tridiag_driver(
     Ok(())
 }
 
-/// Chunk-parallel trailing matvec: `p[i] = β · Σ_j T[i][j]·v[j]` over the
-/// block `i, j ∈ k1..n`, rows chunked, every row's dot through the
-/// dispatched [`simd::dot`] microkernel (shared with the scalar path, so
-/// the lane structure is identical by construction).
+/// Trailing matvec `p[i] = β · Σ_j T[i][j]·v[j]` over the block
+/// `i, j ∈ k1..n`, every row's dot through the dispatched [`simd::dot`]
+/// microkernel (one shared matvec for both entry points).
 fn tri_matvec(t: &Matrix, v: &[f64], k1: usize, beta: f64, p: &mut [f64]) {
-    let n = t.nrows();
-    let chunks = Chunks::new(n - k1, TRI_MIN_CHUNK_ROWS, TRI_MAX_CHUNKS);
-    let out = &mut p[k1..n];
-    par::map_chunks(&chunks, 1, out, |range, region| {
-        for (slot, off) in region.iter_mut().zip(range) {
-            let i = k1 + off;
-            *slot = beta * simd::dot(&t.row(i)[k1..n], &v[k1..n]);
-        }
-    });
-}
-
-/// Sequential trailing matvec — same per-row microkernel, plain outer loop.
-fn tri_matvec_scalar(t: &Matrix, v: &[f64], k1: usize, beta: f64, p: &mut [f64]) {
     let n = t.nrows();
     #[allow(clippy::needless_range_loop)] // i indexes matrix rows and p alike
     for i in k1..n {
@@ -291,22 +274,16 @@ fn tri_matvec_scalar(t: &Matrix, v: &[f64], k1: usize, beta: f64, p: &mut [f64])
     }
 }
 
-/// Chunk-parallel symmetric rank-2 update `T[i][j] −= v_i·w_j + w_i·v_j`
-/// over the trailing block, row chunks, two fused lanes per row in fixed
-/// order (`w`-scaled first, then `v`-scaled).
+/// Symmetric rank-2 update `T[i][j] −= v_i·w_j + w_i·v_j` over the trailing
+/// block, two fused [`simd::fnma_scaled`] lanes per row in fixed order
+/// (`w`-scaled first, then `v`-scaled).
 fn tri_rank2(t: &mut Matrix, v: &[f64], w: &[f64], k1: usize) {
     let n = t.nrows();
-    let width = t.ncols();
-    let chunks = Chunks::new(n - k1, TRI_MIN_CHUNK_ROWS, TRI_MAX_CHUNKS);
-    let rows_below = &mut t.as_mut_slice()[k1 * width..];
-    par::map_chunks(&chunks, width, rows_below, |range, region| {
-        for (local, off) in range.enumerate() {
-            let i = k1 + off;
-            let row = &mut region[local * width + k1..local * width + n];
-            simd::fnma_scaled(row, &w[k1..n], v[i]);
-            simd::fnma_scaled(row, &v[k1..n], w[i]);
-        }
-    });
+    for i in k1..n {
+        let row = &mut t.row_mut(i)[k1..n];
+        simd::fnma_scaled(row, &w[k1..n], v[i]);
+        simd::fnma_scaled(row, &v[k1..n], w[i]);
+    }
 }
 
 /// Sequential rank-2 update — the same two lanes per row as element loops
@@ -342,11 +319,6 @@ pub(crate) struct QlRotation {
 /// the identity to diagonalise `T` alone). On exit `d` holds the
 /// (unsorted) eigenvalues and row `i` of `zt` the matching eigenvector.
 ///
-/// The `d`/`e` recurrence runs serially on both paths; `parallel` only
-/// selects whether each sweep's rotation sequence is applied to `zt` over
-/// chunked column ranges or in one sequential pass — element-wise
-/// identical either way, so the bits never depend on the choice.
-///
 /// # Errors
 /// Returns [`LinalgError::DidNotConverge`] if an eigenvalue fails to
 /// deflate within [`MAX_QL_ITERS`] sweeps.
@@ -355,7 +327,6 @@ pub(crate) fn tql2_into(
     e: &mut [f64],
     zt: &mut Matrix,
     rot: &mut Vec<QlRotation>,
-    parallel: bool,
 ) -> Result<()> {
     let n = d.len();
     if n == 0 {
@@ -429,7 +400,7 @@ pub(crate) fn tql2_into(
                 g = c * r - b;
                 rot.push(QlRotation { i, c, s });
             }
-            apply_ql_rotations(zt, rot, parallel);
+            apply_ql_rotations(zt, rot);
             if underflow {
                 continue;
             }
@@ -443,33 +414,12 @@ pub(crate) fn tql2_into(
 
 /// Applies a sweep's rotation sequence to the rows of `Zᵀ`: rotation
 /// `(i, c, s)` maps `(z_i, z_{i+1}) ← (c·z_i − s·z_{i+1}, s·z_i + c·z_{i+1})`
-/// element-wise. The parallel path chunks the columns — every chunk applies
-/// the full sequence to its disjoint slice, bitwise identical to the
-/// sequential pass because [`simd::rotate_two`] is element-wise and
-/// FMA-free.
-fn apply_ql_rotations(zt: &mut Matrix, rot: &[QlRotation], parallel: bool) {
-    if rot.is_empty() {
-        return;
-    }
+/// element-wise through the FMA-free [`simd::rotate_two`] kernel.
+fn apply_ql_rotations(zt: &mut Matrix, rot: &[QlRotation]) {
     let n = zt.ncols();
-    if parallel {
-        let chunks = Chunks::new(n, TRI_MIN_CHUNK_COLS, TRI_MAX_CHUNKS);
-        let ptr = par::SendPtr(zt.as_mut_slice().as_mut_ptr());
-        par::run_chunks(chunks.count(), |ci| {
-            let range = chunks.range(ci);
-            for qr in rot {
-                // SAFETY: chunk `ci` touches only columns `range` of the
-                // two rotated rows; ranges are disjoint across chunks.
-                let row_i = unsafe { ptr.slice(qr.i * n + range.start, range.len()) };
-                let row_j = unsafe { ptr.slice((qr.i + 1) * n + range.start, range.len()) };
-                simd::rotate_two(row_i, row_j, qr.c, qr.s);
-            }
-        });
-    } else {
-        for qr in rot {
-            let (upper, lower) = zt.as_mut_slice().split_at_mut((qr.i + 1) * n);
-            simd::rotate_two(&mut upper[qr.i * n..], &mut lower[..n], qr.c, qr.s);
-        }
+    for qr in rot {
+        let (upper, lower) = zt.as_mut_slice().split_at_mut((qr.i + 1) * n);
+        simd::rotate_two(&mut upper[qr.i * n..], &mut lower[..n], qr.c, qr.s);
     }
 }
 
@@ -556,7 +506,7 @@ mod tests {
         let t = tridiagonal(&d.clone(), &e[..n - 1]);
         let mut zt = Matrix::identity(n);
         let mut rot = Vec::new();
-        tql2_into(&mut d, &mut e, &mut zt, &mut rot, false).unwrap();
+        tql2_into(&mut d, &mut e, &mut zt, &mut rot).unwrap();
         // T·z_i = λ_i·z_i for every accumulated row of Zᵀ.
         for (i, &lambda) in d.iter().enumerate() {
             let z = zt.row(i);

@@ -3,9 +3,9 @@
 //! Every hot inner loop of the dense and sparse kernels — dot products,
 //! 4-row fused matvec dots, the packed symmetric matvec, the register-tiled
 //! Gram block, `axpy`, the fused GD step `scale_add`, the QR reflector
-//! update, the Jacobi rotation pass, and the CSR gather/scatter loops —
-//! funnels through this module. Each
-//! microkernel has two implementations selected once per call:
+//! update, the QL eigenvector rotation pass, and the CSR gather/scatter
+//! loops — funnels through this module. Each microkernel has two
+//! implementations selected once per call:
 //!
 //! * **portable** — plain Rust with the historical lane structure (4-wide
 //!   accumulators, mul-then-add rounding). This is the only path on
@@ -578,14 +578,13 @@ pub fn fnma_scaled(out: &mut [f64], scales: &[f64], v: f64) {
     }
 }
 
-/// Jacobi rotation of two equal-length rows:
-/// `(x, y) ← (c·x − s·y, s·x + c·y)`.
+/// Givens rotation of two equal-length rows (the QL stage's eigenvector
+/// update): `(x, y) ← (c·x − s·y, s·x + c·y)`.
 ///
 /// Deliberately **FMA-free on every level**: each output element performs
 /// the same three roundings (two multiplies, one add/sub) whether
 /// vectorised or not, so rotation results are bitwise identical *across
-/// levels* — the eigen path's independent plain-loop reference stays valid
-/// without dispatching.
+/// levels*.
 pub fn rotate_two(row_p: &mut [f64], row_r: &mut [f64], c: f64, s: f64) {
     assert_eq!(
         row_p.len(),

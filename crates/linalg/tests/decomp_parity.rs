@@ -6,26 +6,26 @@
 //! * **bitwise equality of the scalar, blocked and pool paths** — the
 //!   plain-loop scalar references produce the *same bits* as the blocked
 //!   kernels, under `PRIU_THREADS ∈ {1, 4}` pinned per call via
-//!   `par::with_threads` (for the Jacobi fallback the scalar reference is an
-//!   independent plain-loop reimplementation of the documented round-robin
-//!   schedule — same tree, zero shared code with the chunked production
-//!   path; the default tridiag + QL pipeline checks `eigen_scalar_into`
-//!   against the pool path, and the Jacobi fallback numerically);
+//!   `par::with_threads` (the tridiag + QL eigen pipeline checks
+//!   `eigen_scalar_into` against `eigen_into`, and an independent
+//!   test-side round-robin Jacobi numerically);
 //! * **edge cases** — 1×1, panel/chunk-boundary sizes, ill-conditioned
 //!   inputs (typed error or finite factor, never a NaN factor), and
 //!   non-SPD rejection with the failing pivot index on every path.
 //!
 //! Sizes deliberately straddle the blocked-Cholesky panel width (64) and
 //! the parallel chunk minima, so the suite exercises the inline
-//! single-chunk path *and* the persistent-pool multi-chunk path of every
-//! decomposition.
+//! single-chunk path *and* the persistent-pool multi-chunk path of the
+//! chunked decompositions (Cholesky, QR); the eigen pipeline never enters
+//! the pool (`eigen_inline`), so its thread-count assertions pin that its
+//! bits cannot depend on the count.
 
 use priu_linalg::decomposition::{
     cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, cholesky_update_into,
     cholesky_update_rank_k_into, cholesky_update_scalar_into, eigen_into, eigen_scalar_into,
     qr_factor_into, qr_factor_per_reflector_into, qr_factor_scalar_into, tridiag_factor_into,
-    tridiag_factor_scalar_into, with_eigen_method, Cholesky, EigenMethod, EigenScratch, Qr,
-    QrScratch, SymmetricEigen, TridiagScratch, QR_WY_MIN_COLS,
+    tridiag_factor_scalar_into, Cholesky, EigenScratch, Qr, QrScratch, SymmetricEigen,
+    TridiagScratch, QR_WY_MIN_COLS,
 };
 use priu_linalg::{par, simd, LinalgError, Matrix, Vector};
 use priu_rng::Rng64;
@@ -320,16 +320,13 @@ fn qr_reconstructs_with_orthonormal_q_and_triangular_r() {
 // Eigen
 // ---------------------------------------------------------------------------
 
-/// Sizes straddling the 8-pair chunk minimum (multi-chunk from n = 32) —
-/// kept ≤ 192 because every Jacobi factorisation is Θ(n³) *per sweep* and
-/// the suite runs each case on three paths.
-const EIGEN_SIZES: [usize; 7] = [1, 2, 5, 31, 33, 64, 192];
-
-/// Independent plain-loop reimplementation of the documented round-robin
-/// Jacobi tree (module docs of `priu_linalg::decomposition::eigen`): same
-/// schedule, rotation formulas, thresholds and sort — zero shared code with
-/// the chunked production path. Bitwise agreement here proves the chunk /
-/// pool machinery never alters the computation tree.
+/// Independent plain-loop round-robin (tournament) cyclic Jacobi: a
+/// different algorithm from the production tridiag + QL pipeline with zero
+/// shared code, so numerical agreement with it guards against a systematic
+/// bug in the pipeline. Each sweep runs `N − 1` rounds (`N` is `n` rounded
+/// up to even); round `t` pairs `{N−1, t}` and `{(t+k) mod (N−1),
+/// (t+N−1−k) mod (N−1)}` for `k ∈ 1..N/2`, so every unordered pair occurs
+/// once per sweep. Θ(n³) *per sweep*, so callers keep `n` ≤ 192.
 fn reference_round_robin_eigen(a: &Matrix) -> (Vec<f64>, Matrix) {
     let n = a.nrows();
     let scale = a.max_abs().max(1.0);
@@ -414,46 +411,10 @@ fn reference_round_robin_eigen(a: &Matrix) -> (Vec<f64>, Matrix) {
 }
 
 #[test]
-fn eigen_scalar_blocked_and_pool_paths_are_bitwise_identical() {
-    // The rotation microkernel is deliberately FMA-free, so the plain-loop
-    // reference (computed once, outside any level override) must match the
-    // production path bitwise on *every* SIMD level — eigenpairs are
-    // level-invariant, not merely level-consistent. Pinned to the Jacobi
-    // fallback: the reference reimplements the round-robin schedule, not the
-    // (default) tridiag + QL pipeline, which has its own parity suite below.
-    let mut scratch = EigenScratch::default();
-    with_eigen_method(EigenMethod::Jacobi, || {
-        for (case, &n) in EIGEN_SIZES.iter().enumerate() {
-            let a = random_symmetric(n, 0xB0 + case as u64);
-            let (ref_values, ref_vectors) = reference_round_robin_eigen(&a);
-            for level in simd_levels() {
-                simd::with_level(level, || {
-                    for threads in [1usize, 4] {
-                        let eig = par::with_threads(threads, || {
-                            SymmetricEigen::new_with(&a, &mut scratch)
-                        })
-                        .unwrap();
-                        assert_eq!(
-                            eig.values.as_slice(),
-                            &ref_values[..],
-                            "eigenvalues blocked({threads}) vs scalar reference n={n} ({level})"
-                        );
-                        assert_eq!(
-                            eig.vectors, ref_vectors,
-                            "eigenvectors blocked({threads}) vs scalar reference n={n} ({level})"
-                        );
-                    }
-                });
-            }
-        }
-    });
-}
-
-#[test]
 fn eigen_reconstructs_with_orthonormal_vectors() {
-    // Includes a 256 case (pool path at scale) checked for the spectral
-    // properties only — the O(n³)-per-sweep reference would dominate the
-    // suite's runtime there.
+    // Includes a 256 case checked for the spectral properties only — the
+    // O(n³)-per-sweep Jacobi reference would dominate the suite's runtime
+    // there.
     let mut scratch = EigenScratch::default();
     for (case, &n) in [5usize, 33, 64, 192, 256].iter().enumerate() {
         let a = random_symmetric(n, 0xD0 + case as u64);
@@ -511,10 +472,13 @@ fn decompositions_compose_under_nested_parallel_sections() {
         let mut l = Matrix::zeros(0, 0);
         cholesky_factor_into(&a, &mut l).unwrap();
         assert_eq!(l, scalar);
-        let eig = with_eigen_method(EigenMethod::Jacobi, || SymmetricEigen::new(&sym)).unwrap();
-        assert_eq!(eig.values.as_slice(), &ref_values[..]);
-        // The default tridiag + QL pipeline nests the same way: inside the
-        // override it still matches its own scalar reference bitwise.
+        // The eigen pipeline behind the Cholesky factorisation matches the
+        // independent Jacobi spectrum numerically and its own scalar
+        // reference bitwise.
+        let eig = SymmetricEigen::new(&sym).unwrap();
+        for (got, want) in eig.values.as_slice().iter().zip(&ref_values) {
+            assert!((got - want).abs() < 1e-10 * 40.0, "{got} vs Jacobi {want}");
+        }
         let mut pooled = EigenScratch::default();
         let mut reference = EigenScratch::default();
         eigen_into(&sym, &mut pooled).unwrap();
@@ -547,9 +511,8 @@ fn solve_matches_eigen_inverse_application() {
 // Tridiagonalization + implicit-shift QL (the default eigen pipeline)
 // ---------------------------------------------------------------------------
 
-/// Symmetric sizes straddling every boundary the two-stage pipeline has:
-/// the reflector row-chunk minimum, the rank-2 chunk minimum, the QL
-/// column-chunk minimum (128), up to the 512×512 acceptance shape.
+/// Symmetric sizes from the 1×1 and 2×2 edge cases (no reflector, one
+/// trailing block) up to the 512×512 acceptance shape.
 const TRI_SIZES: [usize; 12] = [1, 2, 3, 5, 31, 33, 64, 65, 127, 129, 256, 512];
 
 fn tridiagonal_from(d: &[f64], e: &[f64]) -> Matrix {
@@ -618,9 +581,9 @@ fn tridiag_reconstructs_with_orthogonal_q() {
 
 #[test]
 fn eigen_pipeline_scalar_blocked_and_pool_paths_are_bitwise_identical() {
-    // `eigen_scalar_into` runs the plain-loop tridiagonalisation and the
-    // serial QL rotation application; the production path chunks both
-    // through the pool. Same summation tree per SIMD level, same bits.
+    // `eigen_scalar_into` runs the element-loop tridiagonalisation; the
+    // production path runs the row microkernels. Same summation tree per
+    // SIMD level, same bits, whatever the thread count.
     let mut blocked = EigenScratch::default();
     let mut reference = EigenScratch::default();
     for level in simd_levels() {
@@ -652,21 +615,16 @@ fn eigen_pipeline_scalar_blocked_and_pool_paths_are_bitwise_identical() {
 #[test]
 fn eigen_pipeline_agrees_with_jacobi_numerically() {
     // Different algorithms, different bits — but the same spectrum and the
-    // same invariant subspaces. Eigenvalues compare elementwise (both sort
-    // descending); eigenvectors compare through the reconstruction, which is
-    // basis-independent.
+    // same invariant subspaces. Eigenvalues compare elementwise against the
+    // test-side Jacobi reference (both sort descending); eigenvectors
+    // compare through the reconstruction, which is basis-independent.
     let mut pipeline = EigenScratch::default();
     for (case, &n) in [2usize, 5, 31, 64, 127, 192].iter().enumerate() {
         let a = random_symmetric(n, 0x160 + case as u64);
         eigen_into(&a, &mut pipeline).unwrap();
-        let jacobi = with_eigen_method(EigenMethod::Jacobi, || SymmetricEigen::new(&a)).unwrap();
+        let (jacobi_values, _) = reference_round_robin_eigen(&a);
         let tol = 1e-10 * (n as f64).max(1.0);
-        for (i, (got, want)) in pipeline
-            .values()
-            .iter()
-            .zip(jacobi.values.as_slice())
-            .enumerate()
-        {
+        for (i, (got, want)) in pipeline.values().iter().zip(&jacobi_values).enumerate() {
             assert!(
                 (got - want).abs() < tol,
                 "eigenvalue {i} n={n}: tridiag+QL {got} vs Jacobi {want}"
